@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -67,7 +66,7 @@ def dump_basis(basis: OrthonormalBasis) -> dict:
 
 
 def emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write(text, out)
 
 
@@ -166,7 +165,9 @@ def _cmd_verify_theorem2(args) -> int:
 
 
 def _cmd_minimize_aprime(args) -> int:
-    if args.a and args.b:
+    if (args.a is None) != (args.b is None):
+        raise ValidationError("--a and --b must be given together")
+    if args.a is not None:
         a = load_basis(args.a)
         b = load_basis(args.b)
     else:
@@ -246,6 +247,13 @@ def _cmd_oracle_check(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtradeoff",
@@ -255,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, dim_default=3):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker hint; results do not depend on it")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--tolerance", type=float, default=ASSERTION_TOL,
@@ -283,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("verify-properties",
                               help="randomized checks of the basic properties"))
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.set_defaults(handler=_cmd_verify_properties)
 
     p = common(sub.add_parser("verify-theorem2", help="MUB trade-off verification"))
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.set_defaults(handler=_cmd_verify_theorem2)
 
     p = common(sub.add_parser("minimize-aprime",
@@ -296,20 +302,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", default=None)
     p.add_argument("--b", default=None)
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--restarts", type=int, default=6)
+    p.add_argument("--restarts", type=_positive_int, default=6)
     p.set_defaults(handler=_cmd_minimize_aprime)
 
     p = common(sub.add_parser("conjecture", help="randomized conjecture stress test"))
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.set_defaults(handler=_cmd_conjecture)
 
     p = common(sub.add_parser("oracle-check",
                               help="cross-validate metrics against pure-state sampling"))
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--refine-iters", type=int, default=200, dest="refine_iters")
+    p.add_argument("--trials", type=_positive_int, default=10)
+    p.add_argument("--samples", type=_positive_int, default=2000)
+    p.add_argument("--refine-iters", type=_positive_int, default=200, dest="refine_iters")
     p.set_defaults(handler=_cmd_oracle_check)
 
     return parser

@@ -1,24 +1,17 @@
 """Dense complex linear algebra for small dimensions (d <= 16).
 
-Provides a cyclic Jacobi eigensolver for Hermitian matrices, the spectral
-radius built on top of it, and exact Haar-random unitary sampling via the
+Hermitian eigenvalues, eigenvectors and spectral radii come from LAPACK
+through ``np.linalg.eigvalsh``/``eigh`` and accept one matrix or a stack of
+shape ``(..., d, d)``.  Haar-random unitaries are sampled exactly via the
 Ginibre + QR construction.  Everything is deterministic given explicit seeds.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
 from .tolerances import VALIDATION_TOL
-
-# Off-diagonal Frobenius norm below which a Jacobi sweep is considered
-# converged; 100 sweeps is far more than d <= 16 ever needs.
-_JACOBI_OFF_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
 
 
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
@@ -31,99 +24,48 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
 
 
 def check_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
-    """Validate hermiticity of ``m`` and return its symmetrized copy.
+    """Validate hermiticity of ``m`` (or of each matrix in a stack) and
+    return its symmetrized copy.
 
     Raises
     ------
     ValidationError
-        If some entry of ``m - m^dagger`` exceeds ``tol`` in modulus; the
-        message names the offending entry.
+        If some entry of ``m - m^dagger`` exceeds ``tol`` in modulus or is
+        not finite; the message names the offending entry.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    dev = np.abs(m - m.conj().T)
-    i, j = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[i, j] > tol:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"expected square matrices, got shape {m.shape}")
+    mh = np.swapaxes(m, -1, -2).conj()
+    dev = np.abs(m - mh)
+    idx = np.unravel_index(np.argmax(dev), dev.shape)
+    if not dev[idx] <= tol:
+        *batch, i, j = idx
+        at = "".join(f"{k}," for k in batch)
         raise ValidationError(
-            f"matrix is not Hermitian: |m[{i},{j}] - conj(m[{j},{i}])| = {dev[i, j]:.3e}"
+            f"matrix is not Hermitian: |m[{at}{i},{j}] - conj(m[{at}{j},{i}])| = {dev[idx]:.3e}"
         )
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + mh)
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
+def eig_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL):
+    """``(eigenvalues, eigenvectors)`` of Hermitian matrices.
 
-    ``eigenvalues`` are sorted ascending; column ``k`` of ``eigenvectors`` is
-    the unit eigenvector for ``eigenvalues[k]``.
+    Eigenvalues are ascending; column ``k`` of the eigenvectors is the unit
+    eigenvector for eigenvalue ``k``.
     """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _jacobi(a: np.ndarray, want_vectors: bool):
-    """Cyclic complex Jacobi rotations; ``a`` is consumed (modified in place)."""
-    d = a.shape[0]
-    v = np.eye(d, dtype=np.complex128) if want_vectors else None
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.linalg.norm(off) < _JACOBI_OFF_TOL:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                beta = abs(apq)
-                if beta < 1e-30:
-                    continue
-                phase = apq / beta
-                theta = 0.5 * math.atan2(2.0 * beta, a[p, p].real - a[q, q].real)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                # J has columns p,q = (c, s*conj(phase)) and (-s*phase, c);
-                # apply a <- J^dagger a J, v <- v J.
-                row_p = c * a[p, :] + s * phase * a[q, :]
-                row_q = -s * np.conj(phase) * a[p, :] + c * a[q, :]
-                a[p, :] = row_p
-                a[q, :] = row_q
-                col_p = c * a[:, p] + s * np.conj(phase) * a[:, q]
-                col_q = -s * phase * a[:, p] + c * a[:, q]
-                a[:, p] = col_p
-                a[:, q] = col_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if want_vectors:
-                    vcol_p = c * v[:, p] + s * np.conj(phase) * v[:, q]
-                    vcol_q = -s * phase * v[:, p] + c * v[:, q]
-                    v[:, p] = vcol_p
-                    v[:, q] = vcol_q
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    if want_vectors:
-        return w[order], v[:, order]
-    return w[order], None
-
-
-def eig_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL) -> HermitianEigen:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi."""
-    h = check_hermitian(m, tol)
-    w, v = _jacobi(h, want_vectors=True)
-    return HermitianEigen(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(check_hermitian(m, tol))
 
 
 def eigvals_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
-    """Eigenvalues only (ascending); skips the eigenvector accumulation."""
-    h = check_hermitian(m, tol)
-    w, _ = _jacobi(h, want_vectors=False)
-    return w
+    """Eigenvalues only, ascending along the last axis."""
+    return np.linalg.eigvalsh(check_hermitian(m, tol))
 
 
-def spectral_radius(m: np.ndarray, tol: float = VALIDATION_TOL) -> float:
-    """max_k |lambda_k| of a Hermitian matrix."""
-    w = eigvals_hermitian(m, tol)
-    return float(np.max(np.abs(w))) if w.size else 0.0
+def spectral_radius(m: np.ndarray, tol: float = VALIDATION_TOL):
+    """max_k |lambda_k|: a float for one matrix, an array for a stack."""
+    r = np.max(np.abs(eigvals_hermitian(m, tol)), axis=-1)
+    return float(r) if r.ndim == 0 else r
 
 
 def haar_unitary(dim: int, seed: int, *stream: int) -> np.ndarray:

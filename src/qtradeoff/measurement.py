@@ -31,10 +31,6 @@ class OrthonormalBasis:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def projector(self, i: int) -> np.ndarray:
-        v = self.vectors[i]
-        return np.outer(v, v.conj())
-
     def gram(self, other: "OrthonormalBasis") -> np.ndarray:
         """Overlap matrix with entries <self_i | other_j>."""
         return self.vectors.conj() @ other.vectors.T
@@ -47,7 +43,7 @@ def make_basis(vectors, tol: float = VALIDATION_TOL) -> OrthonormalBasis:
     ------
     ValidationError
         Naming the first offending pair of indices (i, j); i == j means a
-        norm failure.
+        norm failure.  Non-finite entries fail too.
     """
     v = np.asarray(vectors, dtype=np.complex128)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 1:
@@ -55,7 +51,7 @@ def make_basis(vectors, tol: float = VALIDATION_TOL) -> OrthonormalBasis:
     g = v.conj() @ v.T
     dev = np.abs(g - np.eye(v.shape[0]))
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[i, j] > tol:
+    if not dev[i, j] <= tol:
         raise ValidationError(
             f"vectors are not orthonormal: |<v{i}|v{j}> - delta| = {dev[i, j]:.3e} "
             f"(indices {i}, {j})"
@@ -99,17 +95,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def make_density_matrix(matrix, tol: float = VALIDATION_TOL) -> DensityMatrix:
-    m = linalg.check_hermitian(matrix, tol)
-    tr = np.trace(m).real
-    if abs(tr - 1.0) > tol:
-        raise ValidationError(f"trace must be 1, got {tr!r}")
-    w = linalg.eigvals_hermitian(m, tol)
-    if w[0] < -tol:
-        raise ValidationError(f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    return DensityMatrix(matrix=m)
 
 
 def pure_state(psi) -> DensityMatrix:

@@ -10,7 +10,9 @@ spectral radii of small Hermitian matrices, one per outcome label:
 
 Calibration variants, the two disturbance upper bounds, the relaxed
 (label-free) error and the conjectured floor f = min(relaxed eps, eta) are
-also provided.  Argmax ties always go to the lowest outcome index.
+also provided.  A witness index is the lowest index whose value lies within
+``TIE_TOL`` of the maximum, so exact ties go to the lowest index whatever the
+round-off; the reported value is the maximum itself.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .measurement import (
     infinity_distance,
     post_measurement_state,
 )
+from .tolerances import TIE_TOL
 
 # Exhaustive permutation enumeration in relaxed_error stays cheap up to here.
 _MAX_RELAXED_DIM = 8
@@ -57,6 +60,12 @@ def _require_same_dim(x, y) -> None:
         raise ValidationError(f"dimension mismatch: {x.dim} vs {y.dim}")
 
 
+def _witness(values: np.ndarray) -> tuple[float, int]:
+    """The maximum of ``values`` and the lowest flat index within TIE_TOL of it."""
+    top = np.max(values)
+    return float(top), int(np.argmax(values >= top - TIE_TOL))
+
+
 # ---------------------------------------------------------------------------
 # State-dependent quantities
 # ---------------------------------------------------------------------------
@@ -82,59 +91,69 @@ def state_dependent_disturbance(ap: OrthonormalBasis, b: OrthonormalBasis,
 # State-independent quantities
 # ---------------------------------------------------------------------------
 
+def _projectors(vectors: np.ndarray) -> np.ndarray:
+    """Stack of |v_i><v_i| over the rows v_i of ``vectors``."""
+    return np.einsum("ij,ik->ijk", vectors, vectors.conj())
+
+
+def error_matrices(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
+    """Stack over i of |a_i><a_i| - |a'_i><a'_i|."""
+    _require_same_dim(a, ap)
+    return _projectors(a.vectors) - _projectors(ap.vectors)
+
+
+def disturbance_matrices(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
+    """Stack over i of |b_i><b_i| - sum_k |<b_i|a'_k>|^2 |a'_k><a'_k|."""
+    _require_same_dim(ap, b)
+    w = np.abs(b.gram(ap)) ** 2  # w[i, k] = |<b_i|a'_k>|^2
+    return _projectors(b.vectors) - np.einsum("ik,kxy->ixy", w, _projectors(ap.vectors))
+
+
 def error_matrix(a: OrthonormalBasis, ap: OrthonormalBasis, i: int) -> np.ndarray:
     """|a_i><a_i| - |a'_i><a'_i|."""
-    return a.projector(i) - ap.projector(i)
+    return error_matrices(a, ap)[i]
 
 
 def disturbance_matrix(ap: OrthonormalBasis, b: OrthonormalBasis, i: int) -> np.ndarray:
     """|b_i><b_i| - sum_k |<b_i|a'_k>|^2 |a'_k><a'_k|."""
-    bi = b.vectors[i]
-    w = np.abs(ap.vectors.conj() @ bi) ** 2
-    return np.outer(bi, bi.conj()) - (ap.vectors.T * w) @ ap.vectors.conj()
+    return disturbance_matrices(ap, b)[i]
 
 
-def error(a: OrthonormalBasis, ap: OrthonormalBasis) -> WitnessValue:
-    """eps = max_i sqrt(1 - |<a'_i|a_i>|^2) with the maximizing outcome.
+def _residual_norms(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
+    """|a'_i - <a_i|a'_i> a_i| = sqrt(1 - |<a'_i|a_i>|^2), capped at 1.
 
-    Evaluated as the norm of a'_i minus its projection onto a_i, which stays
-    accurate when the two bases nearly coincide (no cancellation in 1 - |o|^2).
+    The norm of a'_i minus its projection onto a_i stays accurate when the
+    two bases nearly coincide (no cancellation in 1 - |o|^2).
     """
     _require_same_dim(a, ap)
     overlaps = np.einsum("ij,ij->i", a.vectors.conj(), ap.vectors)
     residual = ap.vectors - overlaps[:, None] * a.vectors
-    vals = np.minimum(np.linalg.norm(residual, axis=1), 1.0)
-    i = int(np.argmax(vals))
-    return WitnessValue(float(vals[i]), i)
+    return np.minimum(np.linalg.norm(residual, axis=1), 1.0)
+
+
+def error(a: OrthonormalBasis, ap: OrthonormalBasis) -> WitnessValue:
+    """eps = max_i sqrt(1 - |<a'_i|a_i>|^2) with the maximizing outcome."""
+    return WitnessValue(*_witness(_residual_norms(a, ap)))
 
 
 def disturbance(ap: OrthonormalBasis, b: OrthonormalBasis) -> WitnessValue:
     """eta = max_i R(disturbance_matrix(ap, b, i)) with the maximizing outcome."""
-    _require_same_dim(ap, b)
-    best, best_i = -1.0, 0
-    for i in range(b.dim):
-        r = linalg.spectral_radius(disturbance_matrix(ap, b, i))
-        if r > best:
-            best, best_i = r, i
-    return WitnessValue(best, best_i)
+    return WitnessValue(*_witness(linalg.spectral_radius(disturbance_matrices(ap, b))))
 
 
 def overall_error(a: OrthonormalBasis, ap: OrthonormalBasis,
                   b: OrthonormalBasis) -> OverallError:
-    """delta = max over outcome pairs and relative sign of one spectral radius."""
-    _require_same_dim(a, ap)
-    _require_same_dim(ap, b)
-    d = a.dim
-    err_terms = [error_matrix(a, ap, i) for i in range(d)]
-    dist_terms = [disturbance_matrix(ap, b, j) for j in range(d)]
-    best = OverallError(-1.0, 0, 0, +1)
-    for i in range(d):
-        for j in range(d):
-            for sign in (+1, -1):
-                r = linalg.spectral_radius(err_terms[i] + sign * dist_terms[j])
-                if r > best.value:
-                    best = OverallError(r, i, j, sign)
-    return best
+    """delta = max over outcome pairs and relative sign of one spectral radius.
+
+    The 2 d^2 matrices E_i + s D_j form one stack ordered (i, j, s) with
+    s = +1 before s = -1, so the flat witness index is the lowest such triple.
+    """
+    e = error_matrices(a, ap)[:, None]
+    t = disturbance_matrices(ap, b)[None, :]
+    r = linalg.spectral_radius(np.stack([e + t, e - t], axis=2))
+    value, k = _witness(r)
+    i, j, s = np.unravel_index(k, r.shape)
+    return OverallError(value, int(i), int(j), (+1, -1)[s])
 
 
 def rephase_against(target: np.ndarray, basis: OrthonormalBasis) -> OrthonormalBasis:
@@ -164,10 +183,7 @@ def disturbance_matrix_in_frame(ap: OrthonormalBasis, b: OrthonormalBasis,
 
 def calibration_error(a: OrthonormalBasis, ap: OrthonormalBasis) -> float:
     """eps^c = max_i (1 - |<a'_i|a_i>|^2); satisfies eps = sqrt(eps^c)."""
-    _require_same_dim(a, ap)
-    overlaps = np.einsum("ij,ij->i", a.vectors.conj(), ap.vectors)
-    residual = ap.vectors - overlaps[:, None] * a.vectors
-    return float(np.max(np.minimum(np.sum(np.abs(residual) ** 2, axis=1), 1.0)))
+    return float(np.max(_residual_norms(a, ap) ** 2))
 
 
 def calibration_disturbance(ap: OrthonormalBasis, b: OrthonormalBasis) -> float:
@@ -256,8 +272,8 @@ def tradeoff_report(a: OrthonormalBasis, ap: OrthonormalBasis,
     delta = overall_error(a, ap, b)
     winning = (error_matrix(a, ap, delta.error_index)
                + delta.sign * disturbance_matrix(ap, b, delta.disturbance_index))
-    eig = linalg.eig_hermitian(winning)
-    k = int(np.argmax(np.abs(eig.eigenvalues)))
+    w, v = linalg.eig_hermitian(winning)
+    k = int(np.argmax(np.abs(w)))
     return TradeoffReport(
         epsilon=eps.value,
         eta=eta.value,
@@ -269,5 +285,5 @@ def tradeoff_report(a: OrthonormalBasis, ap: OrthonormalBasis,
         witness_error_index=delta.error_index,
         witness_disturbance_index=delta.disturbance_index,
         witness_sign=delta.sign,
-        witness_state=eig.eigenvectors[:, k].copy(),
+        witness_state=v[:, k].copy(),
     )

@@ -2,7 +2,7 @@
 
 Maxima over states are chased by Haar sampling followed by derivative-free
 coordinate ascent on the unit sphere; 2x2 and 3x3 Hermitian eigenvalues come
-from closed forms.  Nothing here calls the Jacobi eigensolver, so agreement
+from closed forms.  Nothing here ever calls the eigensolver, so agreement
 with the analytic path is evidence rather than tautology.
 """
 

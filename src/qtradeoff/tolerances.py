@@ -16,3 +16,7 @@ ORACLE_GAP = 1e-3
 # Looser orthonormality tolerance for bases read from files, which may have
 # been written with fewer digits; such bases go through Gram-Schmidt repair.
 FILE_INPUT_TOL = 1e-8
+
+# Values within this of a maximum count as tied with it; a witness index is
+# the lowest tied index, so round-off cannot pick among exact ties.
+TIE_TOL = 1e-12

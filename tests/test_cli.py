@@ -48,6 +48,15 @@ class TestBasisFiles:
         assert cli.run(["compute", "--a", missing, "--aprime", missing,
                         "--b", missing]) == cli.EXIT_USAGE
 
+    def test_non_finite_input_is_usage_error(self, tmp_path):
+        payload = {"dim": 2, "vectors": [[[1.0, 0.0], [0.0, 0.0]],
+                                         [[0.0, 0.0], [float("nan"), 0.0]]]}
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(payload))
+        assert "NaN" in path.read_text()
+        assert cli.run(["compute", "--a", str(path), "--aprime", str(path),
+                        "--b", str(path)]) == cli.EXIT_USAGE
+
     def test_non_orthonormal_input_rejected(self, tmp_path):
         payload = {"dim": 2, "vectors": [[[1.0, 0.0], [0.0, 0.0]],
                                          [[1.0, 0.0], [0.1, 0.0]]]}
@@ -117,14 +126,9 @@ class TestScans:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_thread_flag_does_not_change_results(self, tmp_path):
-        outs = []
-        for threads, name in (("1", "t1.json"), ("8", "t8.json")):
-            out = tmp_path / name
-            cli.run(["verify-theorem2", "--dim", "2", "--trials", "20",
-                     "--seed", "3", "--threads", threads, "--out", str(out)])
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+    def test_thread_flag_is_rejected(self, capsys):
+        assert cli.run(["verify-theorem2", "--dim", "2", "--trials", "20",
+                        "--threads", "8"]) == cli.EXIT_USAGE
 
 
 class TestVerificationExitCodes:
@@ -158,6 +162,21 @@ class TestVerificationExitCodes:
         assert cli.run(["no-such-command"]) == cli.EXIT_USAGE
         capsys.readouterr()
 
+    def test_non_positive_counts_are_usage_errors(self, capsys):
+        for argv in (["conjecture", "--trials", "0"],
+                     ["verify-theorem2", "--trials", "-5"],
+                     ["verify-properties", "--trials", "0"],
+                     ["oracle-check", "--trials", "0"],
+                     ["oracle-check", "--samples", "0"],
+                     ["oracle-check", "--refine-iters", "0"],
+                     ["minimize-aprime", "--restarts", "0"]):
+            assert cli.run(argv) == cli.EXIT_USAGE, argv
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_payload_is_never_written(self):
+        with pytest.raises(ValueError):
+            cli.emit_json({"min_slack_sum": float("inf")}, None)
+
     def test_invalid_dimension_is_usage_error(self, capsys):
         assert cli.run(["conjecture", "--dim", "9", "--trials", "1"]) == cli.EXIT_USAGE
         capsys.readouterr()
@@ -171,6 +190,12 @@ class TestMinimizeAprime:
         assert code == cli.EXIT_OK
         assert payload["min_sum"] >= payload["conjecture_floor"] - 1e-6
         assert min(payload["distance_to_a"], payload["distance_to_b"]) < 1e-3
+
+    def test_one_basis_file_alone_is_usage_error(self, tmp_path, capsys):
+        a = write_basis(tmp_path / "a.json", computational_basis(2))
+        assert cli.run(["minimize-aprime", "--a", a]) == cli.EXIT_USAGE
+        assert cli.run(["minimize-aprime", "--b", a]) == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_basis_files_accepted(self, tmp_path, capsys):
         a = write_basis(tmp_path / "a.json", computational_basis(2))

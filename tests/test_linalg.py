@@ -9,29 +9,29 @@ from conftest import random_hermitian
 
 class TestEigHermitian:
     def test_diagonal(self):
-        e = linalg.eig_hermitian(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(e.eigenvalues, [-1.0, 2.0, 3.0])
+        w, _ = linalg.eig_hermitian(np.diag([3.0, -1.0, 2.0]))
+        assert np.allclose(w, [-1.0, 2.0, 3.0])
 
     def test_pauli_x(self):
-        e = linalg.eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(e.eigenvalues, [-1.0, 1.0])
+        w, _ = linalg.eig_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.allclose(w, [-1.0, 1.0])
 
     def test_random_3x3_matches_closed_form_cubic(self):
         # Independent oracle: trigonometric solution of the characteristic cubic.
         for seed in range(20):
             m = random_hermitian(3, seed)
-            e = linalg.eig_hermitian(m)
-            assert np.max(np.abs(e.eigenvalues - oracle.eig3_closed(m))) < 1e-9
+            w, _ = linalg.eig_hermitian(m)
+            assert np.max(np.abs(w - oracle.eig3_closed(m))) < 1e-9
 
     def test_reconstruction_and_orthonormality(self):
         for d in (2, 3, 5, 8, 16):
             m = random_hermitian(d, 100 + d)
-            e = linalg.eig_hermitian(m)
-            recon = (e.eigenvectors * e.eigenvalues) @ e.eigenvectors.conj().T
+            w, v = linalg.eig_hermitian(m)
+            recon = (v * w) @ v.conj().T
             assert np.max(np.abs(recon - m)) < 1e-10
-            gram = e.eigenvectors.conj().T @ e.eigenvectors
+            gram = v.conj().T @ v
             assert np.max(np.abs(gram - np.eye(d))) < 1e-10
-            assert np.all(np.diff(e.eigenvalues) >= 0)
+            assert np.all(np.diff(w) >= 0)
 
     def test_trace_identities(self):
         for d in (2, 3, 4, 5):
@@ -45,6 +45,27 @@ class TestEigHermitian:
         m[0, 2] = 1e-6
         with pytest.raises(ValidationError, match=r"m\[0,2\]"):
             linalg.eig_hermitian(m)
+
+
+class TestStacks:
+    def test_spectral_radius_of_stack_matches_each_matrix(self):
+        ms = np.stack([random_hermitian(4, 300 + k) for k in range(6)]).reshape(2, 3, 4, 4)
+        r = linalg.spectral_radius(ms)
+        assert r.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert abs(r[idx] - linalg.spectral_radius(ms[idx])) < 1e-12
+
+    def test_non_hermitian_entry_of_stack_named(self):
+        ms = np.tile(np.eye(3, dtype=complex), (2, 2, 1, 1))
+        ms[1, 0, 2, 1] = 1e-6
+        with pytest.raises(ValidationError, match=r"m\[1,0,1,2\] - conj\(m\[1,0,2,1\]\)"):
+            linalg.check_hermitian(ms)
+
+    def test_non_finite_entry_of_stack_rejected(self):
+        ms = np.tile(np.eye(2, dtype=complex), (3, 1, 1))
+        ms[2, 1, 1] = np.nan
+        with pytest.raises(ValidationError, match=r"m\[2,1,1\]"):
+            linalg.check_hermitian(ms)
 
 
 class TestSpectralRadius:

@@ -26,6 +26,12 @@ class TestBasisValidation:
         with pytest.raises(ValidationError, match=r"indices 0, 1|indices 1, 0|indices 1, 1"):
             make_basis(v)
 
+    def test_rejects_non_finite_entry(self):
+        v = np.eye(3, dtype=complex)
+        v[2, 0] = np.nan
+        with pytest.raises(ValidationError):
+            make_basis(v)
+
     def test_gram_schmidt_repair_of_truncated_file_input(self):
         basis = haar_random_basis(3, 5)
         rounded = np.round(basis.vectors, 9)  # ~1e-9 orthonormality damage

@@ -75,6 +75,14 @@ class TestError:
         got = metrics.error(a, ap)
         assert got.value == pytest.approx(1.0)
         assert got.index == 0  # ties break to the lowest outcome
+        # Exact ties that round-off splits still go to the lowest index.
+        assert metrics.disturbance(computational_basis(3), structures.fourier_basis(3)).index == 0
+        assert metrics.overall_error(a, a, structures.fourier_basis(2))[1:] == (0, 0, +1)
+        blk = tuple(haar_random_basis(3, 9, w) for w in range(3))
+        asm = structures.direct_sum([blk, blk])
+        assert metrics.error(*asm[:2]).index == metrics.error(*blk[:2]).index
+        assert metrics.disturbance(*asm[1:]).index == metrics.disturbance(*blk[1:]).index
+        assert metrics.overall_error(*asm)[1:] == metrics.overall_error(*blk)[1:]
 
     def test_qubit_bloch_angle(self):
         for phi in (0.3, 1.2, 2.5):
@@ -108,6 +116,24 @@ class TestDisturbance:
             linalg.spectral_radius(metrics.disturbance_matrix(ap, b, i))
             for i in range(3))
         assert metrics.disturbance(ap, b).value == pytest.approx(expected, abs=1e-12)
+
+
+class TestStackedEigensolves:
+    def test_one_spectral_radius_call_per_metric(self, monkeypatch):
+        shapes = []
+        real = linalg.spectral_radius
+
+        def counting(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "spectral_radius", counting)
+        a, ap, b = random_triple(3, 45)
+        metrics.disturbance(ap, b)
+        assert shapes == [(3, 3, 3)]
+        shapes.clear()
+        metrics.overall_error(a, ap, b)
+        assert shapes == [(3, 3, 2, 3, 3)]
 
 
 class TestRephasing:
