@@ -232,7 +232,7 @@ def minimize_over_intermediate(a: OrthonormalBasis, b: OrthonormalBasis,
     for r in range(max(restarts - 2, 0)):
         starts.append(haar_random_basis(a.dim, seed, r))
     best_basis, best_val = None, np.inf
-    for start in starts[:max(restarts, 2)]:
+    for start in starts[:restarts]:
         basis, val = _local_search(a, b, start, iters)
         if val < best_val:
             best_basis, best_val = basis, val

@@ -101,7 +101,7 @@ def pure_state(psi) -> DensityMatrix:
     """|psi><psi| for a unit vector psi."""
     psi = np.asarray(psi, dtype=np.complex128)
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > VALIDATION_TOL:
+    if not abs(nrm - 1.0) <= VALIDATION_TOL:
         raise ValidationError(f"state vector is not normalized: |psi| = {nrm!r}")
     return DensityMatrix(matrix=np.outer(psi, psi.conj()))
 

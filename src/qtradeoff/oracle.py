@@ -1,163 +1,162 @@
 """Independent brute-force verifiers.
 
-Maxima over states are chased by Haar sampling followed by derivative-free
-coordinate ascent on the unit sphere; 2x2 and 3x3 Hermitian eigenvalues come
-from closed forms.  Nothing here ever calls the eigensolver, so agreement
-with the analytic path is evidence rather than tautology.
+Each sampled objective is the sum over one or two families of the family's
+largest term, a signed Born-rule combination such as
+``|<a_i|psi>|^2 - |<a'_i|psi>|^2`` held as the Hermitian matrix of that
+quadratic form.  One term per family makes a piece.  A quadratic form has no
+local maximum on the unit sphere that is not global, so every piece climbs
+from its own best Haar sample in one batched ascent, and none can stall in
+another piece's basin.  2x2 and 3x3 Hermitian eigenvalues come from closed
+forms.  Nothing here ever calls the eigensolver, so agreement with the
+analytic path is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import check_hermitian, haar_unit_vector
+from .linalg import check_hermitian, rng_from
 from .measurement import OrthonormalBasis
 
 _STEP_FLOOR = 1e-10
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class OracleResult:
+    """Best value found and the unit vector attaining it.
+
+    ``refinement_steps`` counts sweeps of the batched refine loop; one sweep
+    tries every coordinate move of every piece still refining.
+    """
     value: float
     maximizer: np.ndarray
     samples_used: int
     refinement_steps: int
 
 
-def _refine(objective: Callable[[np.ndarray], float], psi: np.ndarray,
-            value: float, iters: int) -> tuple[np.ndarray, float, int]:
-    """Projected coordinate ascent with shrinking step.
+def _signed_terms(coeffs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Matrices of +/- sum_k coeffs[t, k] |<v_k|psi>|^2 over rows t, + first."""
+    m = np.einsum("tk,ki,kj->tij", coeffs, vectors, vectors.conj())
+    return np.concatenate([m, -m])
 
-    Perturbs each complex coordinate along the real and imaginary axes in
-    both directions, renormalizes, keeps improvements; the step halves after
-    a sweep with no improvement and bottoms out at 1e-10.
+
+def _values(terms: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<psi_s|M_t|psi_s> for every term M_t and vector psi_s (rows): (t, s)."""
+    return np.einsum("tsj,sj->ts", psi.conj() @ terms, psi).real
+
+
+def _pieces(parts):
+    """Every sum of one entry (along axis 0) from each part, first part major."""
+    out = parts[0]
+    for part in parts[1:]:
+        out = (out[:, None] + part[None, :]).reshape(-1, *out.shape[1:])
+    return out
+
+
+def _maximize(families, dim: int, samples: int, refine_iters: int,
+              seed: int, *stream: int) -> OracleResult:
+    """Maximum over unit vectors of the sum over families of the largest term.
+
+    Every piece (one term from each family) starts from its best Haar sample
+    and climbs by projected coordinate ascent: each sweep tries the 4*dim
+    moves +/-step, +/-i*step on every coordinate of every piece at once,
+    keeps each piece's best improving move, and halves the step of each piece
+    that did not improve; a piece stops once its step falls below 1e-10.
     """
-    d = psi.size
-    step = 0.1
-    steps_done = 0
-    for _ in range(iters):
-        improved = False
-        for c in range(d):
-            for direction in (1.0, -1.0, 1.0j, -1.0j):
-                cand = psi.copy()
-                cand[c] += step * direction
-                cand /= np.linalg.norm(cand)
-                val = objective(cand)
-                if val > value:
-                    psi, value = cand, val
-                    improved = True
-        steps_done += 1
-        if not improved:
-            step *= 0.5
-            if step < _STEP_FLOOR:
-                break
-    return psi, value, steps_done
-
-
-_REFINE_STARTS = 20
-
-
-def _sample_then_refine(objective, dim: int, samples: int, refine_iters: int,
-                        seed: int) -> OracleResult:
-    # The objectives are maxima of piecewise-smooth pieces, so a single ascent
-    # can stall in the wrong basin.  Refining the best sample of each chunk of
-    # the stream gives several well-separated starting points.
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
-    chunks = min(_REFINE_STARTS, samples)
-    starts = [(None, -np.inf)] * chunks
-    for k in range(samples):
-        psi = haar_unit_vector(dim, seed, k)
-        val = objective(psi)
-        c = k * chunks // samples
-        if val > starts[c][1]:
-            starts[c] = (psi, val)
-    best_psi, best_val, total_steps = None, -np.inf, 0
-    for psi, val in starts:
-        psi, val, steps = _refine(objective, psi, val, refine_iters)
-        total_steps += steps
-        if val > best_val:
-            best_psi, best_val = psi, val
-    return OracleResult(value=best_val, maximizer=best_psi, samples_used=samples,
-                        refinement_steps=total_steps)
+    pieces = _pieces(families)
+    every = np.arange(len(pieces))
+    psi = np.zeros((len(pieces), dim), dtype=np.complex128)
+    value = np.full(len(pieces), -np.inf)
+    rng = rng_from(seed, *stream)
+    for start in range(0, samples, _BLOCK):
+        n = min(_BLOCK, samples - start)
+        draw = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        draw /= np.linalg.norm(draw, axis=1, keepdims=True)
+        vals = _pieces([_values(terms, draw) for terms in families])
+        best = np.argmax(vals, axis=1)
+        top = vals[every, best]
+        better = top > value
+        psi[better] = draw[best[better]]
+        value[better] = top[better]
+    moves = np.concatenate([u * np.eye(dim) for u in (1.0, -1.0, 1.0j, -1.0j)])
+    step = np.full(len(pieces), 0.1)
+    live = every
+    sweeps = 0
+    while live.size and sweeps < refine_iters:
+        cand = psi[live, None, :] + step[live, None, None] * moves
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        vals = np.einsum("pmj,pmj->pm", cand.conj() @ pieces[live], cand).real
+        best = np.argmax(vals, axis=1)
+        top = vals[np.arange(live.size), best]
+        gain = top > value[live]
+        psi[live[gain]] = cand[gain, best[gain]]
+        value[live[gain]] = top[gain]
+        step[live[~gain]] *= 0.5
+        live = live[step[live] >= _STEP_FLOOR]
+        sweeps += 1
+    total = sum(np.max(_values(terms, psi), axis=0) for terms in families)
+    k = int(np.argmax(total))
+    return OracleResult(value=float(total[k]), maximizer=psi[k],
+                        samples_used=samples, refinement_steps=sweeps)
 
 
 def max_expectation(m: np.ndarray, samples: int, refine_iters: int,
-                    seed: int) -> OracleResult:
+                    seed: int, *stream: int) -> OracleResult:
     """Sampled maximum of |<psi|m|psi>| over unit vectors (Hermitian m)."""
     h = check_hermitian(m)
-
-    def objective(psi: np.ndarray) -> float:
-        return abs(np.real(psi.conj() @ h @ psi))
-
-    return _sample_then_refine(objective, h.shape[0], samples, refine_iters, seed)
+    return _maximize((np.stack([h, -h]),), h.shape[0], samples, refine_iters,
+                     seed, *stream)
 
 
-def _sum_objective(a: OrthonormalBasis, ap: OrthonormalBasis,
-                   b: OrthonormalBasis) -> Callable[[np.ndarray], float]:
-    # Direct Born-rule evaluation, no spectral machinery: for pure psi,
-    # eps_rho = max_i | |<a_i|psi>|^2 - |<a'_i|psi>|^2 | and
-    # eta_rho = max_i | |<b_i|psi>|^2 - sum_k |<a'_k|psi>|^2 |<b_i|a'_k>|^2 |.
-    av = a.vectors.conj()
-    apv = ap.vectors.conj()
-    bv = b.vectors.conj()
-    w = np.abs(b.gram(ap)) ** 2  # w[i, k] = |<b_i|a'_k>|^2
+def _error_terms(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
+    # eps_psi = max_i | |<a_i|psi>|^2 - |<a'_i|psi>|^2 |
+    eye = np.eye(a.dim)
+    return _signed_terms(np.hstack([eye, -eye]), np.vstack([a.vectors, ap.vectors]))
 
-    def objective(psi: np.ndarray) -> float:
-        pa = np.abs(av @ psi) ** 2
-        pap = np.abs(apv @ psi) ** 2
-        pb = np.abs(bv @ psi) ** 2
-        pb_after = w @ pap
-        return float(np.max(np.abs(pa - pap)) + np.max(np.abs(pb - pb_after)))
 
-    return objective
+def _disturbance_terms(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
+    # eta_psi = max_j | |<b_j|psi>|^2 - sum_k w_jk |<a'_k|psi>|^2 |,
+    # with w_jk = |<b_j|a'_k>|^2
+    w = np.abs(b.gram(ap)) ** 2
+    return _signed_terms(np.hstack([np.eye(b.dim), -w]),
+                         np.vstack([b.vectors, ap.vectors]))
 
 
 def max_sum_over_states(a: OrthonormalBasis, ap: OrthonormalBasis,
                         b: OrthonormalBasis, samples: int, refine_iters: int,
-                        seed: int) -> OracleResult:
+                        seed: int, *stream: int) -> OracleResult:
     """Sampled maximum of eps_rho + eta_rho over pure states."""
     if not a.dim == ap.dim == b.dim:
         raise ValidationError(f"dimension mismatch: {a.dim}, {ap.dim}, {b.dim}")
-    return _sample_then_refine(_sum_objective(a, ap, b), a.dim, samples,
-                               refine_iters, seed)
+    return _maximize((_error_terms(a, ap), _disturbance_terms(ap, b)), a.dim,
+                     samples, refine_iters, seed, *stream)
 
 
 def max_error_over_states(a: OrthonormalBasis, ap: OrthonormalBasis,
-                          samples: int, refine_iters: int, seed: int) -> OracleResult:
+                          samples: int, refine_iters: int, seed: int,
+                          *stream: int) -> OracleResult:
     """Sampled maximum of the state-dependent error over pure states."""
     if a.dim != ap.dim:
         raise ValidationError(f"dimension mismatch: {a.dim} vs {ap.dim}")
-    av = a.vectors.conj()
-    apv = ap.vectors.conj()
-
-    def objective(psi: np.ndarray) -> float:
-        return float(np.max(np.abs(np.abs(av @ psi) ** 2 - np.abs(apv @ psi) ** 2)))
-
-    return _sample_then_refine(objective, a.dim, samples, refine_iters, seed)
+    return _maximize((_error_terms(a, ap),), a.dim, samples, refine_iters,
+                     seed, *stream)
 
 
 def max_disturbance_over_states(ap: OrthonormalBasis, b: OrthonormalBasis,
-                                samples: int, refine_iters: int,
-                                seed: int) -> OracleResult:
+                                samples: int, refine_iters: int, seed: int,
+                                *stream: int) -> OracleResult:
     """Sampled maximum of the state-dependent disturbance over pure states."""
     if ap.dim != b.dim:
         raise ValidationError(f"dimension mismatch: {ap.dim} vs {b.dim}")
-    apv = ap.vectors.conj()
-    bv = b.vectors.conj()
-    w = np.abs(b.gram(ap)) ** 2
-
-    def objective(psi: np.ndarray) -> float:
-        pap = np.abs(apv @ psi) ** 2
-        pb = np.abs(bv @ psi) ** 2
-        return float(np.max(np.abs(pb - w @ pap)))
-
-    return _sample_then_refine(objective, ap.dim, samples, refine_iters, seed)
+    return _maximize((_disturbance_terms(ap, b),), ap.dim, samples,
+                     refine_iters, seed, *stream)
 
 
 def eig2_closed(m: np.ndarray) -> np.ndarray:

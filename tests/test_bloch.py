@@ -80,6 +80,10 @@ class TestClosedForms:
         with pytest.raises(ValidationError):
             bloch.bloch_error(np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0]))
 
+    def test_nan_input_rejected(self):
+        with pytest.raises(ValidationError):
+            bloch.bloch_error(np.array([np.nan, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
+
 
 class TestTheoremFloor:
     def test_parallel(self):

@@ -216,3 +216,15 @@ class TestOracleCheck:
         assert code == cli.EXIT_OK
         assert payload["max_oracle_shortfall"] <= 1e-3
         assert payload["max_oracle_excess"] <= 1e-9
+
+    def test_d4_instance_with_a_rival_local_maximum(self, capsys):
+        # One piece of this instance's delta peaks at 1.2482, a local maximum
+        # of the whole objective, while the analytic delta is 1.3311.
+        code = cli.run(["oracle-check", "--dim", "4", "--trials", "1",
+                        "--samples", "2000", "--refine-iters", "200",
+                        "--seed", "688153797"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_OK
+        row = payload["instances"][0]
+        for name in ("epsilon", "eta", "delta"):
+            assert -1e-4 <= row[name + "_oracle"] - row[name] <= 1e-9

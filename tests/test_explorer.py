@@ -100,6 +100,22 @@ class TestMinimizeOverIntermediate:
         out = explorer.minimize_over_intermediate(a, b, restarts=4, seed=6, iters=80)
         assert out.min_sum >= metrics.conjecture_floor(a, b) - 1e-6
 
+    def test_one_local_search_per_restart(self, monkeypatch):
+        calls = []
+        search = explorer._local_search
+
+        def counted(*args):
+            calls.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(explorer, "_local_search", counted)
+        a = haar_random_basis(2, 8)
+        b = haar_random_basis(2, 9)
+        for restarts in (1, 3):
+            calls.clear()
+            explorer.minimize_over_intermediate(a, b, restarts=restarts, seed=0, iters=5)
+            assert len(calls) == restarts
+
     def test_oversize_rejected(self):
         a = haar_random_basis(6, 7)
         b = haar_random_basis(6, 8)

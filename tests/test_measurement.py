@@ -170,6 +170,10 @@ class TestRandomPureState:
         with pytest.raises(ValidationError):
             random_pure_state(1, 0)
 
+    def test_nan_state_rejected(self):
+        with pytest.raises(ValidationError):
+            pure_state([np.nan, 0.0])
+
     def test_overlap_statistics_follow_beta_law(self):
         d, n = 3, 30_000
         fixed = np.zeros(d)

@@ -47,6 +47,12 @@ class TestMaxExpectation:
         assert r1.value == r2.value
         assert np.array_equal(r1.maximizer, r2.maximizer)
 
+    def test_sub_streams_are_independent(self):
+        m = random_hermitian(3, 8)
+        r1 = oracle.max_expectation(m, 1, 1, 0, 1)
+        r2 = oracle.max_expectation(m, 1, 1, 1, 0)
+        assert not np.allclose(r1.maximizer, r2.maximizer)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             oracle.max_expectation(np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -77,6 +83,22 @@ class TestMaxSumOverStates:
         with pytest.raises(ValidationError):
             oracle.max_sum_over_states(a, a, computational_basis(3),
                                        samples=1, refine_iters=1, seed=0)
+
+
+class TestAnalyticValuesAtD4:
+    def test_every_objective_reaches_its_analytic_value(self):
+        for seed in range(20):
+            a, ap, b = random_triple(4, 4000 + seed)
+            pairs = (
+                (metrics.error(a, ap).value,
+                 oracle.max_error_over_states(a, ap, 2000, 200, seed)),
+                (metrics.disturbance(ap, b).value,
+                 oracle.max_disturbance_over_states(ap, b, 2000, 200, seed)),
+                (metrics.overall_error(a, ap, b).value,
+                 oracle.max_sum_over_states(a, ap, b, 2000, 200, seed)),
+            )
+            for analytic, sampled in pairs:
+                assert sampled.value == pytest.approx(analytic, abs=1e-9)
 
 
 class TestClosedFormEigenvalues:
