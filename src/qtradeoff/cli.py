@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -65,8 +66,16 @@ def dump_basis(basis: OrthonormalBasis) -> dict:
     return {"dim": basis.dim, "vectors": [_complex_pairs(v) for v in basis.vectors]}
 
 
+def _encode(obj) -> dict:
+    """JSON form of the objects payloads may hold besides plain values."""
+    if isinstance(obj, OrthonormalBasis):
+        return dump_basis(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
+                      default=_encode) + "\n"
     _write(text, out)
 
 
@@ -253,6 +262,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtradeoff",
@@ -260,62 +276,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dim_default=3):
+    def command(name, handler, help, table=False, verify=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--tolerance", type=float, default=ASSERTION_TOL,
-                       help="assertion tolerance for verification subcommands")
+        if table:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
+        if verify:
+            p.add_argument("--tolerance", type=_finite_float, default=ASSERTION_TOL,
+                           help="assertion tolerance of the verification")
         return p
 
-    p = common(sub.add_parser("compute", help="trade-off report for one (A, A', B) triple"))
+    p = command("compute", _cmd_compute, "trade-off report for one (A, A', B) triple")
     p.add_argument("--a", required=True)
     p.add_argument("--aprime", required=True)
     p.add_argument("--b", required=True)
-    p.set_defaults(handler=_cmd_compute)
 
-    p = common(sub.add_parser("scan-theorem1", help="d=2 sweep of the intermediate basis"))
+    p = command("scan-theorem1", _cmd_scan_theorem1, "d=2 sweep of the intermediate basis",
+                table=True)
     p.add_argument("--b-angle", type=float, required=True, dest="b_angle")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--plane-only", action=argparse.BooleanOptionalAction,
                    default=True, dest="plane_only")
-    p.set_defaults(handler=_cmd_scan_theorem1)
 
-    p = common(sub.add_parser("scan-bounds-d3", help="d=3 disturbance bound sweep"))
+    p = command("scan-bounds-d3", _cmd_scan_bounds_d3, "d=3 disturbance bound sweep",
+                table=True)
     p.add_argument("--overlap1-sq", type=float, default=0.1, dest="overlap1_sq")
     p.add_argument("--steps", type=int, default=200)
-    p.set_defaults(handler=_cmd_scan_bounds_d3)
 
-    p = common(sub.add_parser("verify-properties",
-                              help="randomized checks of the basic properties"))
+    p = command("verify-properties", _cmd_verify_properties,
+                "randomized checks of the basic properties", verify=True)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.set_defaults(handler=_cmd_verify_properties)
 
-    p = common(sub.add_parser("verify-theorem2", help="MUB trade-off verification"))
+    p = command("verify-theorem2", _cmd_verify_theorem2, "MUB trade-off verification",
+                verify=True)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=_positive_int, default=1000)
-    p.set_defaults(handler=_cmd_verify_theorem2)
 
-    p = common(sub.add_parser("minimize-aprime",
-                              help="search for the intermediate basis minimizing eps + eta"))
+    p = command("minimize-aprime", _cmd_minimize_aprime,
+                "search for the intermediate basis minimizing eps + eta")
     p.add_argument("--a", default=None)
     p.add_argument("--b", default=None)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--restarts", type=_positive_int, default=6)
-    p.set_defaults(handler=_cmd_minimize_aprime)
 
-    p = common(sub.add_parser("conjecture", help="randomized conjecture stress test"))
+    p = command("conjecture", _cmd_conjecture, "randomized conjecture stress test",
+                verify=True)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=_positive_int, default=1000)
-    p.set_defaults(handler=_cmd_conjecture)
 
-    p = common(sub.add_parser("oracle-check",
-                              help="cross-validate metrics against pure-state sampling"))
+    p = command("oracle-check", _cmd_oracle_check,
+                "cross-validate metrics against pure-state sampling", verify=True)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--samples", type=_positive_int, default=2000)
     p.add_argument("--refine-iters", type=_positive_int, default=200, dest="refine_iters")
-    p.set_defaults(handler=_cmd_oracle_check)
 
     return parser
 

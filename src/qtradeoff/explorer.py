@@ -36,7 +36,11 @@ class ScanTable:
 
 @dataclass(frozen=True)
 class ConjectureRun:
-    """Summary of a randomized conjecture stress test."""
+    """Summary of a randomized conjecture stress test.
+
+    Each violation records its trial, slacks and floor, and its triple as
+    the bases ``a``, ``aprime`` and ``b``.
+    """
 
     dim: int
     trials: int
@@ -165,8 +169,11 @@ def verify_theorem2(d: int, trials: int, seed: int,
 # Local search over the intermediate measurement
 # ---------------------------------------------------------------------------
 
-def _unitary_moves(d: int, step: float) -> List[np.ndarray]:
-    """Closed-form one-parameter unitaries: d phase and d(d-1) rotation moves."""
+def _unitary_moves(d: int, step: float) -> np.ndarray:
+    """Closed-form one-parameter unitaries, each followed by its inverse.
+
+    d phase and d(d-1) rotation moves, so a (2 d^2, d, d) stack.
+    """
     moves = []
     for p in range(d):
         g = np.eye(d, dtype=np.complex128)
@@ -183,28 +190,39 @@ def _unitary_moves(d: int, step: float) -> List[np.ndarray]:
             g[p, p] = g[q, q] = c
             g[p, q] = g[q, p] = 1j * s
             moves.append(g)
-    return moves
+    g = np.stack(moves)
+    return np.stack([g, np.swapaxes(g, 1, 2).conj()], axis=1).reshape(-1, d, d)
 
 
 def _local_search(a: OrthonormalBasis, b: OrthonormalBasis,
                   start: OrthonormalBasis, iters: int,
                   step_floor: float = 1e-8) -> Tuple[OrthonormalBasis, float]:
-    def objective(vectors: np.ndarray) -> float:
-        ap = OrthonormalBasis(vectors=vectors)
-        return metrics.error(a, ap).value + metrics.disturbance(ap, b).value
+    """Gauss-Seidel descent of eps + eta over the geodesic moves.
+
+    Each move of a sweep is tried from the current point in turn and taken
+    if it lowers the sum.  The moves still to try are scored as one stack;
+    the first that improves is taken and the ones after it are rescored from
+    the new point.
+    """
+    def objective(stack: np.ndarray) -> np.ndarray:
+        return metrics.error_values(a, stack) + metrics.disturbance_values(stack, b)
 
     v = start.vectors.copy()
-    best = objective(v)
+    best = float(objective(v[None])[0])
     step = 0.2
     for _ in range(iters):
+        moves = _unitary_moves(a.dim, step)
         improved = False
-        for g in _unitary_moves(a.dim, step):
-            for gg in (g, g.conj().T):
-                cand = v @ gg
-                val = objective(cand)
-                if val < best - 1e-15:
-                    v, best = cand, val
-                    improved = True
+        while len(moves):
+            cands = v @ moves
+            vals = objective(cands)
+            hits = np.flatnonzero(vals < best - 1e-15)
+            if not hits.size:
+                break
+            k = hits[0]
+            v, best = cands[k], float(vals[k])
+            moves = moves[k + 1:]
+            improved = True
         if not improved:
             step *= 0.5
             if step < step_floor:
@@ -276,9 +294,9 @@ def conjecture_search(d: int, trials: int, seed: int,
                 "slack_sum": slack_sum,
                 "slack_delta": slack_delta,
                 "floor": floor,
-                "a": a.vectors.tolist(),
-                "aprime": ap.vectors.tolist(),
-                "b": b.vectors.tolist(),
+                "a": a,
+                "aprime": ap,
+                "b": b,
             })
     return ConjectureRun(dim=d, trials=trials, seed=seed,
                          min_slack_sum=float(min_slack_sum),

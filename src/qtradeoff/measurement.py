@@ -35,6 +35,9 @@ class OrthonormalBasis:
         """Overlap matrix with entries <self_i | other_j>."""
         return self.vectors.conj() @ other.vectors.T
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, OrthonormalBasis) and np.array_equal(self.vectors, other.vectors)
+
 
 def make_basis(vectors, tol: float = VALIDATION_TOL) -> OrthonormalBasis:
     """Validate orthonormality and wrap; never silently re-orthonormalizes.

@@ -92,8 +92,35 @@ def state_dependent_disturbance(ap: OrthonormalBasis, b: OrthonormalBasis,
 # ---------------------------------------------------------------------------
 
 def _projectors(vectors: np.ndarray) -> np.ndarray:
-    """Stack of |v_i><v_i| over the rows v_i of ``vectors``."""
-    return np.einsum("ij,ik->ijk", vectors, vectors.conj())
+    """Stack of |v_i><v_i| over the rows v_i of ``vectors`` (..., d, d)."""
+    return np.einsum("...ij,...ik->...ijk", vectors, vectors.conj())
+
+
+def _disturbance_stacks(ap: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """D_i = |b_i><b_i| - sum_k |<b_i|a'_k>|^2 |a'_k><a'_k| for A' vectors of
+    shape (..., d, d): shape (..., d, d, d), outcome i before the matrix axes."""
+    w = np.abs(b.conj() @ np.swapaxes(ap, -1, -2)) ** 2  # w[..., i, k] = |<b_i|a'_k>|^2
+    return _projectors(b) - np.einsum("...ik,...kxy->...ixy", w, _projectors(ap))
+
+
+def _residual_norms(a: np.ndarray, ap: np.ndarray) -> np.ndarray:
+    """|a'_i - <a_i|a'_i> a_i| = sqrt(1 - |<a'_i|a_i>|^2), capped at 1, for A'
+    vectors of shape (..., d, d): shape (..., d).
+
+    The norm of a'_i minus its projection onto a_i stays accurate when the
+    two bases nearly coincide (no cancellation in 1 - |o|^2).
+    """
+    overlaps = np.einsum("ij,...ij->...i", a.conj(), ap)
+    residual = ap - overlaps[..., None] * a
+    return np.minimum(np.linalg.norm(residual, axis=-1), 1.0)
+
+
+def _check_stack(basis: OrthonormalBasis, aps) -> np.ndarray:
+    aps = np.asarray(aps, dtype=np.complex128)
+    if aps.ndim != 3 or aps.shape[1:] != basis.vectors.shape:
+        d = basis.dim
+        raise ValidationError(f"expected A' vectors of shape (n, {d}, {d}), got {aps.shape}")
+    return aps
 
 
 def error_matrices(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
@@ -105,8 +132,7 @@ def error_matrices(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
 def disturbance_matrices(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
     """Stack over i of |b_i><b_i| - sum_k |<b_i|a'_k>|^2 |a'_k><a'_k|."""
     _require_same_dim(ap, b)
-    w = np.abs(b.gram(ap)) ** 2  # w[i, k] = |<b_i|a'_k>|^2
-    return _projectors(b.vectors) - np.einsum("ik,kxy->ixy", w, _projectors(ap.vectors))
+    return _disturbance_stacks(ap.vectors, b.vectors)
 
 
 def error_matrix(a: OrthonormalBasis, ap: OrthonormalBasis, i: int) -> np.ndarray:
@@ -119,26 +145,29 @@ def disturbance_matrix(ap: OrthonormalBasis, b: OrthonormalBasis, i: int) -> np.
     return disturbance_matrices(ap, b)[i]
 
 
-def _residual_norms(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
-    """|a'_i - <a_i|a'_i> a_i| = sqrt(1 - |<a'_i|a_i>|^2), capped at 1.
-
-    The norm of a'_i minus its projection onto a_i stays accurate when the
-    two bases nearly coincide (no cancellation in 1 - |o|^2).
-    """
-    _require_same_dim(a, ap)
-    overlaps = np.einsum("ij,ij->i", a.vectors.conj(), ap.vectors)
-    residual = ap.vectors - overlaps[:, None] * a.vectors
-    return np.minimum(np.linalg.norm(residual, axis=1), 1.0)
-
-
 def error(a: OrthonormalBasis, ap: OrthonormalBasis) -> WitnessValue:
     """eps = max_i sqrt(1 - |<a'_i|a_i>|^2) with the maximizing outcome."""
-    return WitnessValue(*_witness(_residual_norms(a, ap)))
+    _require_same_dim(a, ap)
+    return WitnessValue(*_witness(_residual_norms(a.vectors, ap.vectors)))
 
 
 def disturbance(ap: OrthonormalBasis, b: OrthonormalBasis) -> WitnessValue:
     """eta = max_i R(disturbance_matrix(ap, b, i)) with the maximizing outcome."""
     return WitnessValue(*_witness(linalg.spectral_radius(disturbance_matrices(ap, b))))
+
+
+def error_values(a: OrthonormalBasis, aps) -> np.ndarray:
+    """eps(A, A') for each A' in a stack of basis vectors of shape (n, d, d)."""
+    return np.max(_residual_norms(a.vectors, _check_stack(a, aps)), axis=-1)
+
+
+def disturbance_values(aps, b: OrthonormalBasis) -> np.ndarray:
+    """eta(A', B) for each A' in a stack of basis vectors of shape (n, d, d).
+
+    All n d disturbance matrices go to one stacked spectral-radius call.
+    """
+    d_stack = _disturbance_stacks(_check_stack(b, aps), b.vectors)
+    return np.max(linalg.spectral_radius(d_stack), axis=-1)
 
 
 def overall_error(a: OrthonormalBasis, ap: OrthonormalBasis,
@@ -183,7 +212,8 @@ def disturbance_matrix_in_frame(ap: OrthonormalBasis, b: OrthonormalBasis,
 
 def calibration_error(a: OrthonormalBasis, ap: OrthonormalBasis) -> float:
     """eps^c = max_i (1 - |<a'_i|a_i>|^2); satisfies eps = sqrt(eps^c)."""
-    return float(np.max(_residual_norms(a, ap) ** 2))
+    _require_same_dim(a, ap)
+    return float(np.max(_residual_norms(a.vectors, ap.vectors) ** 2))
 
 
 def calibration_disturbance(ap: OrthonormalBasis, b: OrthonormalBasis) -> float:

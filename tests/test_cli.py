@@ -157,6 +157,30 @@ class TestVerificationExitCodes:
         capsys.readouterr()
         assert code == cli.EXIT_VIOLATION
 
+    def test_conjecture_violations_are_reported_in_full(self, capsys):
+        code = cli.run(["conjecture", "--dim", "3", "--trials", "2",
+                        "--tolerance", "-1"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_VIOLATION
+        assert [v["trial"] for v in payload["violations"]] == [0, 1]
+        for v in payload["violations"]:
+            for name, sub in (("a", 0), ("aprime", 1), ("b", 2)):
+                basis = haar_random_basis(3, 0, v["trial"], sub)
+                assert v[name] == cli.dump_basis(basis)
+
+    def test_non_finite_tolerance_is_usage_error(self, capsys):
+        for value in ("nan", "inf", "-inf"):
+            assert cli.run(["conjecture", "--dim", "2", "--trials", "1",
+                            "--tolerance", value]) == cli.EXIT_USAGE, value
+        assert capsys.readouterr().out == ""
+
+    def test_flags_only_where_honoured(self, capsys):
+        assert cli.run(["conjecture", "--dim", "2", "--trials", "1",
+                        "--format", "csv"]) == cli.EXIT_USAGE
+        assert cli.run(["minimize-aprime", "--dim", "2", "--restarts", "1",
+                        "--tolerance", "1e-9"]) == cli.EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_bad_arguments_are_usage_errors(self, capsys):
         assert cli.run(["scan-theorem1"]) == cli.EXIT_USAGE
         assert cli.run(["no-such-command"]) == cli.EXIT_USAGE

@@ -5,7 +5,31 @@ import pytest
 
 from qtradeoff import explorer, metrics, structures
 from qtradeoff.errors import UnsupportedSizeError, ValidationError
-from qtradeoff.measurement import computational_basis, haar_random_basis
+from qtradeoff.measurement import OrthonormalBasis, computational_basis, haar_random_basis
+
+
+def scalar_gauss_seidel(a, b, start, iters, step_floor=1e-8):
+    """Reference search: every move scored on its own, in sweep order."""
+    def objective(vectors):
+        ap = OrthonormalBasis(vectors=vectors)
+        return metrics.error(a, ap).value + metrics.disturbance(ap, b).value
+
+    v = start.vectors.copy()
+    best = objective(v)
+    step, accepted = 0.2, 0
+    for _ in range(iters):
+        improved = False
+        for g in explorer._unitary_moves(a.dim, step):
+            cand = v @ g
+            val = objective(cand)
+            if val < best - 1e-15:
+                v, best, improved = cand, val, True
+                accepted += 1
+        if not improved:
+            step *= 0.5
+            if step < step_floor:
+                break
+    return v, best, accepted
 
 
 class TestScanTheorem1:
@@ -77,6 +101,30 @@ class TestVerifyTheorem2:
         assert run.sum_at_identity == pytest.approx(1 - 1 / d, abs=1e-9)
 
 
+class TestLocalSearch:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_moves_are_unitaries_each_followed_by_its_inverse(self, d):
+        moves = explorer._unitary_moves(d, 0.3)
+        assert moves.shape == (2 * d * d, d, d)
+        eye = np.eye(d)
+        for g in moves:
+            assert np.allclose(g @ g.conj().T, eye, atol=1e-15)
+        for g, inverse in zip(moves[::2], moves[1::2]):
+            assert np.allclose(g @ inverse, eye, atol=1e-15)
+            assert not np.allclose(g, eye)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_batched_sweeps_follow_the_scalar_path(self, d):
+        a = haar_random_basis(d, 60, 0)
+        b = haar_random_basis(d, 60, 1)
+        start = haar_random_basis(d, 60, 2)
+        v, best, accepted = scalar_gauss_seidel(a, b, start, iters=80)
+        assert accepted > 10
+        basis, value = explorer._local_search(a, b, start, 80)
+        assert np.max(np.abs(basis.vectors - v)) <= 1e-12
+        assert abs(value - best) <= 1e-12
+
+
 class TestMinimizeOverIntermediate:
     def test_qubit_reaches_cross_product_floor(self):
         a = haar_random_basis(2, 0)
@@ -144,6 +192,16 @@ class TestConjectureSearch:
         eta_ab = metrics.disturbance(a, b).value
         floor = metrics.conjecture_floor(a, b)
         assert eta_ab - floor >= 0.0
+
+    def test_violations_hold_the_triple(self):
+        # a negative tolerance makes every trial a violation
+        r1 = explorer.conjecture_search(3, trials=2, seed=0, tol=-2.0)
+        r2 = explorer.conjecture_search(3, trials=2, seed=0, tol=-2.0)
+        assert r1 == r2
+        assert [v["trial"] for v in r1.violations] == [0, 1]
+        for v in r1.violations:
+            for name, sub in (("a", 0), ("aprime", 1), ("b", 2)):
+                assert v[name] == haar_random_basis(3, 0, v["trial"], sub)
 
     def test_bad_dim_rejected(self):
         with pytest.raises(ValidationError):
