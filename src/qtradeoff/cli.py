@@ -9,6 +9,7 @@ a violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -276,11 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, table=False, verify=False):
+    def command(name, handler, help, seeded=False, table=False, verify=False):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         if table:
             p.add_argument("--format", choices=["json", "csv"], default="json")
         if verify:
@@ -306,28 +308,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200)
 
     p = command("verify-properties", _cmd_verify_properties,
-                "randomized checks of the basic properties", verify=True)
+                "randomized checks of the basic properties", seeded=True, verify=True)
     p.add_argument("--trials", type=_positive_int, default=100)
 
     p = command("verify-theorem2", _cmd_verify_theorem2, "MUB trade-off verification",
-                verify=True)
+                seeded=True, verify=True)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=_positive_int, default=1000)
 
     p = command("minimize-aprime", _cmd_minimize_aprime,
-                "search for the intermediate basis minimizing eps + eta")
+                "search for the intermediate basis minimizing eps + eta", seeded=True)
     p.add_argument("--a", default=None)
     p.add_argument("--b", default=None)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--restarts", type=_positive_int, default=6)
 
     p = command("conjecture", _cmd_conjecture, "randomized conjecture stress test",
-                verify=True)
+                seeded=True, verify=True)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=_positive_int, default=1000)
 
     p = command("oracle-check", _cmd_oracle_check,
-                "cross-validate metrics against pure-state sampling", verify=True)
+                "cross-validate metrics against pure-state sampling", seeded=True,
+                verify=True)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--samples", type=_positive_int, default=2000)
@@ -336,10 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -25,6 +25,10 @@ from .tolerances import ASSERTION_TOL
 
 _MAX_SEARCH_DIM = 5
 
+# Trials per stacked metric call in the randomized drivers; caps the memory of
+# one block (its overall-error stack holds 2 d^2 matrices per trial).
+_TRIAL_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class ScanTable:
@@ -145,6 +149,20 @@ def scan_bounds_d3(overlap1_sq: float, steps: int) -> ScanTable:
     return ScanTable(column_names=["overlap2_sq", "eta", "bound1", "bound2"], rows=rows)
 
 
+def _haar_blocks(d: int, seed: int, trials: int, *subs: tuple):
+    """Blocks of at most _TRIAL_BLOCK trials, as (first trial, bases).
+
+    ``bases`` holds one batch basis per sub-stream in ``subs``; entry i of
+    batch k equals ``haar_random_basis(d, seed, first + i, *subs[k])``.  Each
+    block makes one stacked Haar draw.
+    """
+    for first in range(0, trials, _TRIAL_BLOCK):
+        ts = range(first, min(first + _TRIAL_BLOCK, trials))
+        u = linalg.haar_unitaries(d, seed, [(t, *sub) for t in ts for sub in subs])
+        v = np.swapaxes(u, -1, -2).reshape(len(ts), len(subs), d, d)
+        yield first, [OrthonormalBasis(vectors=v[:, k].copy()) for k in range(len(subs))]
+
+
 def verify_theorem2(d: int, trials: int, seed: int,
                     tol: float = ASSERTION_TOL) -> TheoremTwoRun:
     """MUB trade-off: eps + eta >= 1 - 1/d over Haar-random intermediates."""
@@ -153,12 +171,12 @@ def verify_theorem2(d: int, trials: int, seed: int,
     floor = 1.0 - 1.0 / d
     min_sum = np.inf
     violations: List[dict] = []
-    for t in range(trials):
-        ap = haar_random_basis(d, seed, t)
-        total = metrics.error(a, ap).value + metrics.disturbance(ap, b).value
-        min_sum = min(min_sum, total)
-        if total < floor - tol:
-            violations.append({"trial": t, "sum": total, "floor": floor})
+    for first, (aps,) in _haar_blocks(d, seed, trials, ()):
+        total = metrics.error(a, aps).value + metrics.disturbance(aps, b).value
+        min_sum = min(min_sum, float(np.min(total)))
+        for i in np.flatnonzero(total < floor - tol):
+            violations.append({"trial": first + int(i), "sum": float(total[i]),
+                               "floor": floor})
     sum_at_identity = metrics.error(a, a).value + metrics.disturbance(a, b).value
     return TheoremTwoRun(dim=d, trials=trials, seed=seed, floor=floor,
                          min_sum=float(min_sum), sum_at_identity=sum_at_identity,
@@ -266,44 +284,47 @@ def minimize_over_intermediate(a: OrthonormalBasis, b: OrthonormalBasis,
 
 def conjecture_search(d: int, trials: int, seed: int,
                       tol: float = ASSERTION_TOL) -> ConjectureRun:
-    """Randomized search for violations of eps + eta >= f and delta >= f."""
+    """Randomized search for violations of eps + eta >= f and delta >= f.
+
+    Trial t draws A, A' and B from sub-streams (t, 0), (t, 1) and (t, 2).
+    The argmin distances are those of the first trial with the least
+    eps + eta slack.
+    """
     if not 2 <= d <= _MAX_SEARCH_DIM:
         raise ValidationError(f"dimension must be in [2, {_MAX_SEARCH_DIM}], got {d}")
     min_slack_sum = np.inf
     min_slack_delta = np.inf
     violations: List[dict] = []
-    dist_a = dist_b = 0.0
-    for t in range(trials):
-        a = haar_random_basis(d, seed, t, 0)
-        ap = haar_random_basis(d, seed, t, 1)
-        b = haar_random_basis(d, seed, t, 2)
+    argmin = None
+    for first, (a, ap, b) in _haar_blocks(d, seed, trials, (0,), (1,), (2,)):
         eps = metrics.error(a, ap).value
         eta = metrics.disturbance(ap, b).value
         delta = metrics.overall_error(a, ap, b).value
         floor = metrics.conjecture_floor(a, b)
         slack_sum = eps + eta - floor
         slack_delta = delta - floor
-        if slack_sum < min_slack_sum:
-            min_slack_sum = slack_sum
-            dist_a = metrics.relaxed_error(ap, a).value
-            dist_b = metrics.relaxed_error(ap, b).value
-        min_slack_delta = min(min_slack_delta, slack_delta)
-        if slack_sum < -tol or slack_delta < -tol:
+        i = int(np.argmin(slack_sum))
+        if slack_sum[i] < min_slack_sum:
+            min_slack_sum = float(slack_sum[i])
+            argmin = (a.vectors[i], ap.vectors[i], b.vectors[i])
+        min_slack_delta = min(min_slack_delta, float(np.min(slack_delta)))
+        for i in np.flatnonzero((slack_sum < -tol) | (slack_delta < -tol)):
             violations.append({
-                "trial": t,
-                "slack_sum": slack_sum,
-                "slack_delta": slack_delta,
-                "floor": floor,
-                "a": a,
-                "aprime": ap,
-                "b": b,
+                "trial": first + int(i),
+                "slack_sum": float(slack_sum[i]),
+                "slack_delta": float(slack_delta[i]),
+                "floor": float(floor[i]),
+                "a": OrthonormalBasis(vectors=a.vectors[i]),
+                "aprime": OrthonormalBasis(vectors=ap.vectors[i]),
+                "b": OrthonormalBasis(vectors=b.vectors[i]),
             })
+    a, ap, b = (OrthonormalBasis(vectors=v) for v in argmin)
     return ConjectureRun(dim=d, trials=trials, seed=seed,
-                         min_slack_sum=float(min_slack_sum),
-                         min_slack_delta=float(min_slack_delta),
+                         min_slack_sum=min_slack_sum,
+                         min_slack_delta=min_slack_delta,
                          violations=violations,
-                         argmin_distance_to_a=dist_a,
-                         argmin_distance_to_b=dist_b)
+                         argmin_distance_to_a=metrics.relaxed_error(ap, a).value,
+                         argmin_distance_to_b=metrics.relaxed_error(ap, b).value)
 
 
 # ---------------------------------------------------------------------------

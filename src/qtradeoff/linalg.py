@@ -68,20 +68,27 @@ def spectral_radius(m: np.ndarray, tol: float = VALIDATION_TOL):
     return float(r) if r.ndim == 0 else r
 
 
-def haar_unitary(dim: int, seed: int, *stream: int) -> np.ndarray:
-    """Haar-distributed unitary via complex Ginibre + QR with phase fix.
+def haar_unitaries(dim: int, seed: int, streams) -> np.ndarray:
+    """Stack of Haar-distributed unitaries via complex Ginibre + QR with phase fix.
 
-    The diagonal of R is rotated to be real positive, which makes the QR map
-    well defined and the resulting Q exactly Haar distributed.
+    Entry t draws its Ginibre matrix from ``rng_from(seed, *streams[t])``, so
+    it equals ``haar_unitary(dim, seed, *streams[t])``; all entries share one
+    stacked QR.  The diagonal of R is rotated to be real positive, which makes
+    the QR map well defined and the resulting Q exactly Haar distributed.
     """
     if dim < 2:
         raise ValidationError(f"dimension must be >= 2, got {dim}")
-    rng = rng_from(seed, *stream)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = np.empty((len(streams), dim, dim), dtype=np.complex128)
+    for t, stream in enumerate(streams):
+        g.real[t], g.imag[t] = rng_from(seed, *stream).standard_normal((2, dim, dim))
     q, r = np.linalg.qr(g)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def haar_unitary(dim: int, seed: int, *stream: int) -> np.ndarray:
+    """One Haar-distributed unitary drawn from ``rng_from(seed, *stream)``."""
+    return haar_unitaries(dim, seed, [stream])[0]
 
 
 def haar_unit_vector(dim: int, seed: int, *stream: int) -> np.ndarray:

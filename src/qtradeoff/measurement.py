@@ -22,18 +22,19 @@ class OrthonormalBasis:
     """d orthonormal complex vectors; ordering carries the outcome labels.
 
     ``vectors[i]`` is the i-th measurement vector.  Validation happens in
-    :func:`make_basis`; direct construction skips it.
+    :func:`make_basis`; direct construction skips it.  A batch of n bases
+    holds vectors of shape (n, d, d); the metrics accept either.
     """
 
     vectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[0]
+        return self.vectors.shape[-1]
 
     def gram(self, other: "OrthonormalBasis") -> np.ndarray:
         """Overlap matrix with entries <self_i | other_j>."""
-        return self.vectors.conj() @ other.vectors.T
+        return self.vectors.conj() @ np.swapaxes(other.vectors, -1, -2)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OrthonormalBasis) and np.array_equal(self.vectors, other.vectors)

@@ -13,6 +13,11 @@ Calibration variants, the two disturbance upper bounds, the relaxed
 also provided.  A witness index is the lowest index whose value lies within
 ``TIE_TOL`` of the maximum, so exact ties go to the lowest index whatever the
 round-off; the reported value is the maximum itself.
+
+``error``, ``disturbance``, ``overall_error``, ``relaxed_error`` and
+``conjecture_floor`` also take batches of bases (vectors of shape (n, d, d),
+or one basis broadcast against a batch) and then return arrays of shape
+(n,) in place of Python scalars.
 """
 
 from __future__ import annotations
@@ -55,15 +60,28 @@ class RelaxedError(NamedTuple):
     permutation: tuple
 
 
-def _require_same_dim(x, y) -> None:
-    if x.dim != y.dim:
-        raise ValidationError(f"dimension mismatch: {x.dim} vs {y.dim}")
+def _require_same_dim(*bases) -> None:
+    """Equal dimensions, and equal batch shapes among the batched bases."""
+    dims = [x.dim for x in bases]
+    if len(set(dims)) > 1:
+        raise ValidationError(f"dimension mismatch: {' vs '.join(map(str, dims))}")
+    batches = [shape for shape in dict.fromkeys(x.vectors.shape[:-2] for x in bases) if shape]
+    if len(batches) > 1:
+        raise ValidationError(f"batch shape mismatch: {' vs '.join(map(str, batches))}")
 
 
-def _witness(values: np.ndarray) -> tuple[float, int]:
-    """The maximum of ``values`` and the lowest flat index within TIE_TOL of it."""
-    top = np.max(values)
-    return float(top), int(np.argmax(values >= top - TIE_TOL))
+def _scalar(x):
+    """A 0-d result as a Python scalar; a batch of results unchanged."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _witness(values: np.ndarray, axes: int = 1):
+    """The maximum over the trailing ``axes`` axes of ``values`` and the lowest
+    flat index (over those axes) within TIE_TOL of it."""
+    flat = values.reshape(values.shape[:values.ndim - axes] + (-1,))
+    top = np.max(flat, axis=-1)
+    index = np.argmax(flat >= top[..., None] - TIE_TOL, axis=-1)
+    return _scalar(top), _scalar(index)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +128,7 @@ def _residual_norms(a: np.ndarray, ap: np.ndarray) -> np.ndarray:
     The norm of a'_i minus its projection onto a_i stays accurate when the
     two bases nearly coincide (no cancellation in 1 - |o|^2).
     """
-    overlaps = np.einsum("ij,...ij->...i", a.conj(), ap)
+    overlaps = np.einsum("...ij,...ij->...i", a.conj(), ap)
     residual = ap - overlaps[..., None] * a
     return np.minimum(np.linalg.norm(residual, axis=-1), 1.0)
 
@@ -177,12 +195,13 @@ def overall_error(a: OrthonormalBasis, ap: OrthonormalBasis,
     The 2 d^2 matrices E_i + s D_j form one stack ordered (i, j, s) with
     s = +1 before s = -1, so the flat witness index is the lowest such triple.
     """
-    e = error_matrices(a, ap)[:, None]
-    t = disturbance_matrices(ap, b)[None, :]
-    r = linalg.spectral_radius(np.stack([e + t, e - t], axis=2))
-    value, k = _witness(r)
-    i, j, s = np.unravel_index(k, r.shape)
-    return OverallError(value, int(i), int(j), (+1, -1)[s])
+    _require_same_dim(a, ap, b)
+    e = error_matrices(a, ap)[..., :, None, :, :]
+    t = disturbance_matrices(ap, b)[..., None, :, :, :]
+    r = linalg.spectral_radius(np.stack([e + t, e - t], axis=-3))
+    value, k = _witness(r, axes=3)
+    i, j, s = np.unravel_index(k, r.shape[-3:])
+    return OverallError(value, _scalar(i), _scalar(j), _scalar(1 - 2 * s))
 
 
 def rephase_against(target: np.ndarray, basis: OrthonormalBasis) -> OrthonormalBasis:
@@ -243,7 +262,8 @@ def relaxed_error(a: OrthonormalBasis, b: OrthonormalBasis) -> RelaxedError:
     """Error minimized over relabelings of the second measurement's outcomes.
 
     Exhaustive over permutations; a bottleneck-assignment solver would scale
-    further but is unnecessary at desk scale.
+    further but is unnecessary at desk scale.  Ties go to the first
+    permutation in lexicographic order.
     """
     _require_same_dim(a, b)
     d = a.dim
@@ -251,23 +271,22 @@ def relaxed_error(a: OrthonormalBasis, b: OrthonormalBasis) -> RelaxedError:
         raise UnsupportedSizeError(
             f"relaxed error enumerates permutations; d = {d} exceeds {_MAX_RELAXED_DIM}"
         )
-    # sin2[i, j] = 1 - |<b_j|a_i>|^2 via the orthogonal residual (accurate
-    # when a_i and b_j nearly coincide).
-    o = b.vectors.conj() @ a.vectors.T  # o[j, i] = <b_j|a_i>
-    resid = a.vectors[None, :, :] - o[:, :, None] * b.vectors[:, None, :]
-    sin2 = np.sum(np.abs(resid) ** 2, axis=2).T  # [i, j]
-    idx = np.arange(d)
-    best_val, best_perm = np.inf, tuple(idx)
-    for perm in itertools.permutations(range(d)):
-        worst = float(np.max(sin2[idx, perm]))
-        if worst < best_val:
-            best_val, best_perm = worst, perm
-    return RelaxedError(float(np.sqrt(max(best_val, 0.0))), best_perm)
+    # sin2[..., i, j] = 1 - |<b_j|a_i>|^2 via the orthogonal residual
+    # (accurate when a_i and b_j nearly coincide).
+    av, bv = a.vectors, b.vectors
+    o = bv.conj() @ np.swapaxes(av, -1, -2)  # o[..., j, i] = <b_j|a_i>
+    resid = av[..., None, :, :] - o[..., :, :, None] * bv[..., :, None, :]
+    sin2 = np.swapaxes(np.sum(np.abs(resid) ** 2, axis=-1), -1, -2)
+    perms = np.array(list(itertools.permutations(range(d))))  # lexicographic
+    worst = np.max(sin2[..., np.arange(d), perms], axis=-1)  # (..., d!)
+    value = _scalar(np.sqrt(np.maximum(np.min(worst, axis=-1), 0.0)))
+    perm = perms[np.argmin(worst, axis=-1)]
+    return RelaxedError(value, tuple(perm.tolist()) if perm.ndim == 1 else perm)
 
 
-def conjecture_floor(a: OrthonormalBasis, b: OrthonormalBasis) -> float:
+def conjecture_floor(a: OrthonormalBasis, b: OrthonormalBasis):
     """f(A, B) = min(relaxed error, disturbance)."""
-    return min(relaxed_error(a, b).value, disturbance(a, b).value)
+    return _scalar(np.minimum(relaxed_error(a, b).value, disturbance(a, b).value))
 
 
 # ---------------------------------------------------------------------------

@@ -174,12 +174,28 @@ class TestVerificationExitCodes:
                             "--tolerance", value]) == cli.EXIT_USAGE, value
         assert capsys.readouterr().out == ""
 
-    def test_flags_only_where_honoured(self, capsys):
+    def test_flags_only_where_honoured(self, capsys, triple_files):
         assert cli.run(["conjecture", "--dim", "2", "--trials", "1",
                         "--format", "csv"]) == cli.EXIT_USAGE
         assert cli.run(["minimize-aprime", "--dim", "2", "--restarts", "1",
                         "--tolerance", "1e-9"]) == cli.EXIT_USAGE
+        a, ap, b = triple_files
+        for argv in (["compute", "--a", a, "--aprime", ap, "--b", b],
+                     ["scan-theorem1", "--b-angle", "1", "--steps", "5"],
+                     ["scan-bounds-d3", "--steps", "5"]):
+            assert cli.run(argv + ["--seed", "5"]) == cli.EXIT_USAGE, argv
         assert capsys.readouterr().out == ""
+
+    def test_rejected_call_leaves_the_next_one_unchanged(self, capsys):
+        # the parser is built once per process and reused across calls
+        valid = ["conjecture", "--dim", "3", "--trials", "4", "--seed", "2"]
+        assert cli.run(["conjecture", "--trials", "0"]) == cli.EXIT_USAGE
+        capsys.readouterr()
+        assert cli.run(valid) == cli.EXIT_OK
+        after_rejection = capsys.readouterr().out
+        cli._parser.cache_clear()
+        assert cli.run(valid) == cli.EXIT_OK
+        assert capsys.readouterr().out == after_rejection
 
     def test_bad_arguments_are_usage_errors(self, capsys):
         assert cli.run(["scan-theorem1"]) == cli.EXIT_USAGE

@@ -32,6 +32,43 @@ def scalar_gauss_seidel(a, b, start, iters, step_floor=1e-8):
     return v, best, accepted
 
 
+def per_trial_conjecture(d, trials, seed, tol):
+    """Reference search: one trial at a time, each metric on single bases."""
+    min_sum = min_delta = math.inf
+    violations, dist_a, dist_b = [], 0.0, 0.0
+    for t in range(trials):
+        a, ap, b = (haar_random_basis(d, seed, t, k) for k in range(3))
+        floor = metrics.conjecture_floor(a, b)
+        slack_sum = metrics.error(a, ap).value + metrics.disturbance(ap, b).value - floor
+        slack_delta = metrics.overall_error(a, ap, b).value - floor
+        if slack_sum < min_sum:
+            min_sum = slack_sum
+            dist_a = metrics.relaxed_error(ap, a).value
+            dist_b = metrics.relaxed_error(ap, b).value
+        min_delta = min(min_delta, slack_delta)
+        if slack_sum < -tol or slack_delta < -tol:
+            violations.append({"trial": t, "slack_sum": slack_sum, "slack_delta": slack_delta,
+                               "floor": floor, "a": a, "aprime": ap, "b": b})
+    return explorer.ConjectureRun(dim=d, trials=trials, seed=seed, min_slack_sum=min_sum,
+                                  min_slack_delta=min_delta, violations=violations,
+                                  argmin_distance_to_a=dist_a, argmin_distance_to_b=dist_b)
+
+
+def per_trial_theorem2(d, trials, seed, tol):
+    """Reference MUB check: one Haar intermediate at a time."""
+    a, b = computational_basis(d), structures.fourier_basis(d)
+    floor, sums = 1.0 - 1.0 / d, []
+    for t in range(trials):
+        ap = haar_random_basis(d, seed, t)
+        sums.append(metrics.error(a, ap).value + metrics.disturbance(ap, b).value)
+    violations = [{"trial": t, "sum": x, "floor": floor}
+                  for t, x in enumerate(sums) if x < floor - tol]
+    return explorer.TheoremTwoRun(
+        dim=d, trials=trials, seed=seed, floor=floor, min_sum=min(sums),
+        sum_at_identity=metrics.error(a, a).value + metrics.disturbance(a, b).value,
+        violations=violations)
+
+
 class TestScanTheorem1:
     def test_row_at_zero_matches_closed_form(self):
         for b_angle in (0.7, math.pi / 2, 2.0):
@@ -99,6 +136,13 @@ class TestVerifyTheorem2:
         assert run.violations == []
         assert run.min_sum >= run.floor - 1e-9
         assert run.sum_at_identity == pytest.approx(1 - 1 / d, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [1e-9, -0.6])
+    def test_blocks_match_the_per_trial_loop(self, tol):
+        trials = explorer._TRIAL_BLOCK + 3
+        run = explorer.verify_theorem2(2, trials, seed=5, tol=tol)
+        assert run == per_trial_theorem2(2, trials, 5, tol)
+        assert tol > 0 or 0 < len(run.violations) < trials
 
 
 class TestLocalSearch:
@@ -202,6 +246,14 @@ class TestConjectureSearch:
         for v in r1.violations:
             for name, sub in (("a", 0), ("aprime", 1), ("b", 2)):
                 assert v[name] == haar_random_basis(3, 0, v["trial"], sub)
+
+    @pytest.mark.parametrize("tol", [1e-9, -2.0])
+    def test_blocks_match_the_per_trial_loop(self, tol):
+        # at seed 3 both least slacks fall in the second block (trials 485, 375)
+        trials = 2 * explorer._TRIAL_BLOCK + 3
+        run = explorer.conjecture_search(3, trials, seed=3, tol=tol)
+        assert run == per_trial_conjecture(3, trials, 3, tol)
+        assert len(run.violations) == (trials if tol < 0 else 0)
 
     def test_bad_dim_rejected(self):
         with pytest.raises(ValidationError):

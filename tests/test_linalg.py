@@ -110,12 +110,28 @@ class TestHaarSampling:
         with pytest.raises(ValidationError):
             linalg.haar_unitary(1, 0)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_stack_equals_single_draws(self, d):
+        streams = [(t, k) for t in range(20) for k in range(3)] + [()]
+        stack = linalg.haar_unitaries(d, 42, streams)
+        assert stack.shape == (len(streams), d, d)
+        for u, stream in zip(stack, streams):
+            assert np.array_equal(u, linalg.haar_unitary(d, 42, *stream))
+            # one Ginibre matrix, one QR, the diagonal of R rotated real positive
+            rng = linalg.rng_from(42, *stream)
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            q, r = np.linalg.qr(g)
+            assert np.array_equal(u, q * (np.diag(r) / np.abs(np.diag(r))))
+
+    def test_stack_dim_below_two_rejected(self):
+        with pytest.raises(ValidationError):
+            linalg.haar_unitaries(1, 0, [(0,)])
+
     def test_first_column_overlap_follows_beta_law(self):
         # |<e_1|u_1>|^2 ~ Beta(1, d-1); empirical CDF vs 1 - (1-x)^(d-1).
         d, n = 3, 100_000
-        samples = np.empty(n)
-        for k in range(n):
-            samples[k] = abs(linalg.haar_unitary(d, 9, k)[0, 0]) ** 2
+        u = linalg.haar_unitaries(d, 9, [(k,) for k in range(n)])
+        samples = np.abs(u[:, 0, 0]) ** 2
         samples.sort()
         ecdf = np.arange(1, n + 1) / n
         cdf = 1.0 - (1.0 - samples) ** (d - 1)

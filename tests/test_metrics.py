@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -162,6 +163,68 @@ class TestStackedValues:
                 metrics.disturbance_values(bad, a)
 
 
+def stack_bases(bases):
+    return OrthonormalBasis(vectors=np.stack([x.vectors for x in bases]))
+
+
+class TestBatchedMetrics:
+    """A batch of bases gives, field by field, what each basis gives alone."""
+
+    @staticmethod
+    def triples(d):
+        comp, four = computational_basis(d), structures.fourier_basis(d)
+        ties = [(comp, comp, comp), (comp, comp, four), (comp, four, four),
+                (four, comp, comp), (comp, four, comp)]
+        return [random_triple(d, 60 + k) for k in range(6)] + ties
+
+    @staticmethod
+    def each(a, ap, b):
+        return (metrics.error(a, ap), metrics.disturbance(ap, b),
+                metrics.overall_error(a, ap, b), metrics.relaxed_error(a, b),
+                metrics.conjecture_floor(a, b))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_batch_matches_each_basis(self, d):
+        triples = self.triples(d)
+        n = len(triples)
+        batched = self.each(*(stack_bases(col) for col in zip(*triples)))
+        assert batched[3].permutation.shape == (n, d)
+        assert batched[4].shape == (n,)
+        for k, triple in enumerate(triples):
+            single = self.each(*triple)
+            assert type(single[4]) is float
+            assert np.array_equal(batched[4][k], single[4])
+            for got, want in zip(batched[:4], single[:4]):
+                assert type(got) is type(want)
+                for got_field, want_field in zip(got, want):
+                    assert type(want_field) in (float, int, tuple)
+                    if type(want_field) is tuple:
+                        assert all(type(x) is int for x in want_field)
+                    assert np.array_equal(got_field[k], want_field), (type(got), k)
+
+    def test_single_basis_broadcasts_against_batch(self):
+        a, b = computational_basis(3), structures.fourier_basis(3)
+        aps = [haar_random_basis(3, 61, k) for k in range(5)]
+        eps = metrics.error(a, stack_bases(aps))
+        eta = metrics.disturbance(stack_bases(aps), b)
+        for k, ap in enumerate(aps):
+            assert eps.value[k] == metrics.error(a, ap).value
+            assert eta.index[k] == metrics.disturbance(ap, b).index
+
+    def test_mismatched_batches_rejected(self):
+        three = stack_bases([haar_random_basis(3, 62, k) for k in range(4)])
+        four = stack_bases([haar_random_basis(4, 62, k) for k in range(4)])
+        short = stack_bases([haar_random_basis(3, 63, k) for k in range(2)])
+        for x, y in ((three, four), (three, short), (computational_basis(4), three)):
+            for call in (lambda: metrics.error(x, y),
+                         lambda: metrics.disturbance(x, y),
+                         lambda: metrics.overall_error(x, x, y),
+                         lambda: metrics.relaxed_error(x, y),
+                         lambda: metrics.conjecture_floor(x, y)):
+                with pytest.raises(ValidationError):
+                    call()
+
+
 class TestRephasing:
     def test_nonnegative_overlaps_unchanged(self):
         basis = computational_basis(3)
@@ -294,6 +357,25 @@ class TestRelaxedError:
         b = haar_random_basis(9, 38)
         with pytest.raises(UnsupportedSizeError):
             metrics.relaxed_error(a, b)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_permutation_loop(self, d):
+        # reference: every relabeling in itertools order, the first minimum
+        # kept; sin2[i, j] = |a_i - <b_j|a_i> b_j|^2 as in the metric
+        comp, four = computational_basis(d), structures.fourier_basis(d)
+        pairs = [(comp, comp), (comp, four), (four, comp)]
+        pairs += [(haar_random_basis(d, 64, k), haar_random_basis(d, 65, k)) for k in range(4)]
+        for a, b in pairs:
+            sin2 = np.array([[np.sum(np.abs(x - (y.conj() @ x) * y) ** 2) for y in b.vectors]
+                             for x in a.vectors])
+            best, best_perm = math.inf, None
+            for perm in itertools.permutations(range(d)):
+                worst = max(sin2[i, perm[i]] for i in range(d))
+                if worst < best:
+                    best, best_perm = worst, perm
+            got = metrics.relaxed_error(a, b)
+            assert got.permutation == best_perm
+            assert abs(got.value - math.sqrt(max(best, 0.0))) <= 1e-15
 
 
 class TestConjectureFloor:
