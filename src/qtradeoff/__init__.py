@@ -2,15 +2,10 @@
 
 from .errors import UnsupportedSizeError, ValidationError
 from .measurement import (
-    DensityMatrix,
     OrthonormalBasis,
-    born_probabilities,
     computational_basis,
     haar_random_basis,
-    infinity_distance,
     make_basis,
-    post_measurement_state,
-    random_pure_state,
 )
 from .metrics import (
     TradeoffReport,
@@ -32,12 +27,10 @@ from .structures import direct_sum, fourier_basis, tensor_product
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix",
     "OrthonormalBasis",
     "TradeoffReport",
     "UnsupportedSizeError",
     "ValidationError",
-    "born_probabilities",
     "calibration_disturbance",
     "calibration_error",
     "computational_basis",
@@ -49,11 +42,8 @@ __all__ = [
     "error",
     "fourier_basis",
     "haar_random_basis",
-    "infinity_distance",
     "make_basis",
     "overall_error",
-    "post_measurement_state",
-    "random_pure_state",
     "relaxed_error",
     "state_dependent_disturbance",
     "state_dependent_error",

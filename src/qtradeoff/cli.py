@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import explorer, metrics, oracle
+from . import explorer, linalg, metrics, oracle
 from .errors import ValidationError
 from .measurement import (
     OrthonormalBasis,
@@ -117,20 +117,8 @@ def _cmd_compute(args) -> int:
     ap = load_basis(args.aprime)
     b = load_basis(args.b)
     report = metrics.tradeoff_report(a, ap, b)
-    payload = {
-        "epsilon": report.epsilon,
-        "eta": report.eta,
-        "delta": report.delta,
-        "epsilon_cal": report.epsilon_cal,
-        "eta_cal": report.eta_cal,
-        "bound1": report.bound1,
-        "bound2": report.bound2,
-        "witness_error_index": report.witness_error_index,
-        "witness_disturbance_index": report.witness_disturbance_index,
-        "witness_sign": report.witness_sign,
-        "witness_state": _complex_pairs(report.witness_state),
-    }
-    emit_json(payload, args.out)
+    emit_json({**vars(report), "witness_state": _complex_pairs(report.witness_state)},
+              args.out)
     return EXIT_OK
 
 
@@ -161,16 +149,7 @@ def _cmd_verify_properties(args) -> int:
 def _cmd_verify_theorem2(args) -> int:
     run = explorer.verify_theorem2(args.dim, args.trials, args.seed,
                                    tol=args.tolerance)
-    payload = {
-        "dim": run.dim,
-        "trials": run.trials,
-        "seed": run.seed,
-        "floor": run.floor,
-        "min_sum": run.min_sum,
-        "sum_at_identity": run.sum_at_identity,
-        "violations": run.violations,
-    }
-    emit_json(payload, args.out)
+    emit_json(vars(run), args.out)
     return EXIT_OK if not run.violations else EXIT_VIOLATION
 
 
@@ -178,42 +157,30 @@ def _cmd_minimize_aprime(args) -> int:
     if (args.a is None) != (args.b is None):
         raise ValidationError("--a and --b must be given together")
     if args.a is not None:
+        if args.dim is not None:
+            raise ValidationError("--dim applies only without --a and --b")
         a = load_basis(args.a)
         b = load_basis(args.b)
     else:
-        a = haar_random_basis(args.dim, args.seed, 0)
-        b = haar_random_basis(args.dim, args.seed, 1)
+        dim = 3 if args.dim is None else args.dim
+        a = haar_random_basis(dim, args.seed, 0)
+        b = haar_random_basis(dim, args.seed, 1)
     result = explorer.minimize_over_intermediate(a, b, args.restarts, args.seed)
-    payload = {
-        "min_sum": result.min_sum,
-        "min_delta": result.min_delta,
-        "distance_to_a": result.distance_to_a,
-        "distance_to_b": result.distance_to_b,
-        "conjecture_floor": metrics.conjecture_floor(a, b),
-        "best_basis": dump_basis(result.best_basis),
-    }
-    emit_json(payload, args.out)
+    emit_json({**vars(result), "conjecture_floor": metrics.conjecture_floor(a, b)},
+              args.out)
     return EXIT_OK
 
 
 def _cmd_conjecture(args) -> int:
     run = explorer.conjecture_search(args.dim, args.trials, args.seed,
                                      tol=args.tolerance)
-    payload = {
-        "dim": run.dim,
-        "trials": run.trials,
-        "seed": run.seed,
-        "min_slack_sum": run.min_slack_sum,
-        "min_slack_delta": run.min_slack_delta,
-        "argmin_distance_to_a": run.argmin_distance_to_a,
-        "argmin_distance_to_b": run.argmin_distance_to_b,
-        "violations": run.violations,
-    }
-    emit_json(payload, args.out)
+    emit_json(vars(run), args.out)
     return EXIT_OK if not run.violations else EXIT_VIOLATION
 
 
 def _cmd_oracle_check(args) -> int:
+    if not 2 <= args.dim <= linalg.MAX_DIM:
+        raise ValidationError(f"dimension must be in [2, {linalg.MAX_DIM}], got {args.dim}")
     instances = []
     worst_low = worst_high = -np.inf
     for t in range(args.trials):
@@ -320,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "search for the intermediate basis minimizing eps + eta", seeded=True)
     p.add_argument("--a", default=None)
     p.add_argument("--b", default=None)
-    p.add_argument("--dim", type=int, default=3)
+    p.add_argument("--dim", type=int, default=None,
+                   help="dimension of the random pair drawn without --a/--b (default 3)")
     p.add_argument("--restarts", type=_positive_int, default=6)
 
     p = command("conjecture", _cmd_conjecture, "randomized conjecture stress test",

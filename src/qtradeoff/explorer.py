@@ -166,6 +166,10 @@ def _haar_blocks(d: int, seed: int, trials: int, *subs: tuple):
 def verify_theorem2(d: int, trials: int, seed: int,
                     tol: float = ASSERTION_TOL) -> TheoremTwoRun:
     """MUB trade-off: eps + eta >= 1 - 1/d over Haar-random intermediates."""
+    if not 2 <= d <= linalg.MAX_DIM:
+        raise ValidationError(f"dimension must be in [2, {linalg.MAX_DIM}], got {d}")
+    if trials < 1:
+        raise ValidationError(f"need at least one trial, got {trials}")
     a = computational_basis(d)
     b = structures.fourier_basis(d)
     floor = 1.0 - 1.0 / d
@@ -292,6 +296,8 @@ def conjecture_search(d: int, trials: int, seed: int,
     """
     if not 2 <= d <= _MAX_SEARCH_DIM:
         raise ValidationError(f"dimension must be in [2, {_MAX_SEARCH_DIM}], got {d}")
+    if trials < 1:
+        raise ValidationError(f"need at least one trial, got {trials}")
     min_slack_sum = np.inf
     min_slack_delta = np.inf
     violations: List[dict] = []
@@ -334,6 +340,8 @@ def conjecture_search(d: int, trials: int, seed: int,
 def verify_properties(dims=(2, 3, 4, 5), trials: int = 100, seed: int = 0,
                       tol: float = ASSERTION_TOL) -> PropertyRun:
     """Check Properties 1-4, reducibility and subsystems on random instances."""
+    if trials < 1:
+        raise ValidationError(f"need at least one trial, got {trials}")
     checks: List[Tuple[str, bool, str]] = []
 
     def record(name: str, worst: float, bound: float = 0.0) -> None:

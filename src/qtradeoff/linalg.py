@@ -1,8 +1,9 @@
-"""Dense complex linear algebra for small dimensions (d <= 16).
+"""Dense complex linear algebra for small dimensions (d <= MAX_DIM = 16).
 
 Hermitian eigenvalues, eigenvectors and spectral radii come from LAPACK
 through ``np.linalg.eigvalsh``/``eigh`` and accept one matrix or a stack of
-shape ``(..., d, d)``.  Haar-random unitaries are sampled exactly via the
+shape ``(..., d, d)``.  Quadratic forms <psi|M|psi> broadcast the same way
+and need no eigensolver.  Haar-random unitaries are sampled exactly via the
 Ginibre + QR construction.  Everything is deterministic given explicit seeds.
 """
 
@@ -12,6 +13,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .tolerances import VALIDATION_TOL
+
+# Largest Hilbert-space dimension the package is built for.
+MAX_DIM = 16
 
 
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
@@ -66,6 +70,15 @@ def spectral_radius(m: np.ndarray, tol: float = VALIDATION_TOL):
     """max_k |lambda_k|: a float for one matrix, an array for a stack."""
     r = np.max(np.abs(eigvals_hermitian(m, tol)), axis=-1)
     return float(r) if r.ndim == 0 else r
+
+
+def expectations(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Real <psi|M|psi>, broadcast over leading axes.
+
+    Terms of shape (t, d, d) against states (s, d) give (t, s); pieces
+    (P, d, d) against candidates (P, m, d) give (P, m).
+    """
+    return np.einsum("...j,...j->...", psi.conj() @ m, psi).real
 
 
 def haar_unitaries(dim: int, seed: int, streams) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 Orthonormal bases stand in for rank-one projective measurements: row ``i`` of
 ``OrthonormalBasis.vectors`` is the unit vector whose projector gives outcome
-``i``.  Density matrices, Born-rule outcome distributions and the
-unread-outcome collapse live here as well.
+``i``.
 """
 
 from __future__ import annotations
@@ -88,65 +87,3 @@ def haar_random_basis(dim: int, seed: int, *stream: int) -> OrthonormalBasis:
     """Basis whose column matrix is Haar unitary; bit-reproducible per seed."""
     u = linalg.haar_unitary(dim, seed, *stream)
     return OrthonormalBasis(vectors=u.T.copy())
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace matrix."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def pure_state(psi) -> DensityMatrix:
-    """|psi><psi| for a unit vector psi."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    nrm = np.linalg.norm(psi)
-    if not abs(nrm - 1.0) <= VALIDATION_TOL:
-        raise ValidationError(f"state vector is not normalized: |psi| = {nrm!r}")
-    return DensityMatrix(matrix=np.outer(psi, psi.conj()))
-
-
-def random_pure_state(dim: int, seed: int, *stream: int) -> DensityMatrix:
-    """Rank-one density matrix of a Haar-random unit vector."""
-    return pure_state(linalg.haar_unit_vector(dim, seed, *stream))
-
-
-def maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(matrix=np.eye(dim, dtype=np.complex128) / dim)
-
-
-def _require_same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def born_probabilities(basis: OrthonormalBasis, rho: DensityMatrix) -> np.ndarray:
-    """Outcome distribution p_i = <v_i| rho |v_i>.
-
-    Round-off below 1e-12 on either side of [0, 1] is clamped.
-    """
-    _require_same_dim(basis, rho)
-    amps = basis.vectors.conj() @ rho.matrix @ basis.vectors.T
-    p = np.real(np.diag(amps)).copy()
-    p[(p < 0) & (p > -1e-12)] = 0.0
-    return p
-
-
-def post_measurement_state(basis: OrthonormalBasis, rho: DensityMatrix) -> DensityMatrix:
-    """Unread-outcome collapse: sum_i p_i |v_i><v_i| (diagonal in ``basis``)."""
-    p = born_probabilities(basis, rho)
-    m = (basis.vectors.T * p) @ basis.vectors.conj()
-    return DensityMatrix(matrix=0.5 * (m + m.conj().T))
-
-
-def infinity_distance(x, y) -> float:
-    """max_i |x_i - y_i| between two outcome distributions."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValidationError(f"length mismatch: {x.shape} vs {y.shape}")
-    return float(np.max(np.abs(x - y)))

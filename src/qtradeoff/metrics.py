@@ -30,14 +30,8 @@ import numpy as np
 
 from . import linalg
 from .errors import UnsupportedSizeError, ValidationError
-from .measurement import (
-    DensityMatrix,
-    OrthonormalBasis,
-    born_probabilities,
-    infinity_distance,
-    post_measurement_state,
-)
-from .tolerances import TIE_TOL
+from .measurement import OrthonormalBasis
+from .tolerances import TIE_TOL, VALIDATION_TOL
 
 # Exhaustive permutation enumeration in relaxed_error stays cheap up to here.
 _MAX_RELAXED_DIM = 8
@@ -88,21 +82,35 @@ def _witness(values: np.ndarray, axes: int = 1):
 # State-dependent quantities
 # ---------------------------------------------------------------------------
 
-def state_dependent_error(a: OrthonormalBasis, ap: OrthonormalBasis,
-                          rho: DensityMatrix) -> float:
-    """Infinity distance between the outcome distributions of A and A' on rho."""
-    _require_same_dim(a, ap)
-    return infinity_distance(born_probabilities(a, rho), born_probabilities(ap, rho))
+def _check_states(psi, dim: int) -> np.ndarray:
+    """Unit vectors of shape (dim,) or (n, dim), else ValidationError."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != dim:
+        raise ValidationError(f"expected states of shape ({dim},) or (n, {dim}), got {psi.shape}")
+    dev = np.max(np.abs(np.linalg.norm(psi, axis=-1) - 1.0), initial=0.0)
+    if not dev <= VALIDATION_TOL:
+        raise ValidationError(f"state vector is not normalized: ||psi| - 1| = {dev!r}")
+    return psi
 
 
-def state_dependent_disturbance(ap: OrthonormalBasis, b: OrthonormalBasis,
-                                rho: DensityMatrix) -> float:
-    """Change in the B statistics caused by measuring A' first."""
-    _require_same_dim(ap, b)
-    return infinity_distance(
-        born_probabilities(b, rho),
-        born_probabilities(b, post_measurement_state(ap, rho)),
-    )
+def state_dependent_error(a: OrthonormalBasis, ap: OrthonormalBasis, psi):
+    """max_i | |<a_i|psi>|^2 - |<a'_i|psi>|^2 |: the infinity distance between
+    the outcome distributions of A and A' on the pure state psi.
+
+    A float for one unit vector psi of shape (d,), an (n,) array for a batch
+    of shape (n, d).
+    """
+    psi = _check_states(psi, a.dim)
+    return _scalar(np.max(np.abs(linalg.expectations(error_matrices(a, ap), psi)), axis=0))
+
+
+def state_dependent_disturbance(ap: OrthonormalBasis, b: OrthonormalBasis, psi):
+    """max_j |<psi|D_j|psi>|: the change in the B statistics on psi caused by
+    measuring A' first and discarding its outcome.  Shapes as in
+    :func:`state_dependent_error`.
+    """
+    psi = _check_states(psi, b.dim)
+    return _scalar(np.max(np.abs(linalg.expectations(disturbance_matrices(ap, b), psi)), axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import check_hermitian, rng_from
+from .linalg import check_hermitian, expectations, rng_from
 from .measurement import OrthonormalBasis
 
 _STEP_FLOOR = 1e-10
@@ -43,11 +43,6 @@ def _signed_terms(coeffs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Matrices of +/- sum_k coeffs[t, k] |<v_k|psi>|^2 over rows t, + first."""
     m = np.einsum("tk,ki,kj->tij", coeffs, vectors, vectors.conj())
     return np.concatenate([m, -m])
-
-
-def _values(terms: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """<psi_s|M_t|psi_s> for every term M_t and vector psi_s (rows): (t, s)."""
-    return np.einsum("tsj,sj->ts", psi.conj() @ terms, psi).real
 
 
 def _pieces(parts):
@@ -79,7 +74,7 @@ def _maximize(families, dim: int, samples: int, refine_iters: int,
         n = min(_BLOCK, samples - start)
         draw = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
         draw /= np.linalg.norm(draw, axis=1, keepdims=True)
-        vals = _pieces([_values(terms, draw) for terms in families])
+        vals = _pieces([expectations(terms, draw) for terms in families])
         best = np.argmax(vals, axis=1)
         top = vals[every, best]
         better = top > value
@@ -92,7 +87,7 @@ def _maximize(families, dim: int, samples: int, refine_iters: int,
     while live.size and sweeps < refine_iters:
         cand = psi[live, None, :] + step[live, None, None] * moves
         cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        vals = np.einsum("pmj,pmj->pm", cand.conj() @ pieces[live], cand).real
+        vals = expectations(pieces[live], cand)
         best = np.argmax(vals, axis=1)
         top = vals[np.arange(live.size), best]
         gain = top > value[live]
@@ -101,7 +96,7 @@ def _maximize(families, dim: int, samples: int, refine_iters: int,
         step[live[~gain]] *= 0.5
         live = live[step[live] >= _STEP_FLOOR]
         sweeps += 1
-    total = sum(np.max(_values(terms, psi), axis=0) for terms in families)
+    total = sum(np.max(expectations(terms, psi), axis=0) for terms in families)
     k = int(np.argmax(total))
     return OracleResult(value=float(total[k]), maximizer=psi[k],
                         samples_used=samples, refinement_steps=sweeps)

@@ -12,11 +12,10 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import UnsupportedSizeError, ValidationError
+from .linalg import MAX_DIM
 from .measurement import OrthonormalBasis, make_basis
 
 BasisTriple = Tuple[OrthonormalBasis, OrthonormalBasis, OrthonormalBasis]
-
-_MAX_TOTAL_DIM = 16
 
 
 def fourier_basis(d: int) -> OrthonormalBasis:
@@ -76,8 +75,8 @@ def tensor_product(factors: Sequence[BasisTriple]) -> BasisTriple:
         if any(x.dim != d for x in triple):
             raise ValidationError(f"factor {t} has mismatched dimensions")
         total *= d
-    if not 2 <= total <= _MAX_TOTAL_DIM:
-        raise UnsupportedSizeError(f"total dimension {total} outside [2, {_MAX_TOTAL_DIM}]")
+    if not 2 <= total <= MAX_DIM:
+        raise UnsupportedSizeError(f"total dimension {total} outside [2, {MAX_DIM}]")
     out = []
     for which in range(3):
         vectors = np.array([[1.0 + 0j]])

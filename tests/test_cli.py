@@ -180,6 +180,8 @@ class TestVerificationExitCodes:
         assert cli.run(["minimize-aprime", "--dim", "2", "--restarts", "1",
                         "--tolerance", "1e-9"]) == cli.EXIT_USAGE
         a, ap, b = triple_files
+        assert cli.run(["minimize-aprime", "--a", a, "--b", b, "--dim", "3",
+                        "--restarts", "1"]) == cli.EXIT_USAGE
         for argv in (["compute", "--a", a, "--aprime", ap, "--b", b],
                      ["scan-theorem1", "--b-angle", "1", "--steps", "5"],
                      ["scan-bounds-d3", "--steps", "5"]):
@@ -221,6 +223,15 @@ class TestVerificationExitCodes:
         assert cli.run(["conjecture", "--dim", "9", "--trials", "1"]) == cli.EXIT_USAGE
         capsys.readouterr()
 
+    def test_dimension_cap_is_sixteen(self, capsys):
+        tiny = {"verify-theorem2": ["--trials", "1"],
+                "oracle-check": ["--trials", "1", "--samples", "4", "--refine-iters", "1"]}
+        for command, counts in tiny.items():
+            assert cli.run([command, "--dim", "17", *counts]) == cli.EXIT_USAGE, command
+            assert capsys.readouterr().out == ""
+            assert cli.run([command, "--dim", "16", *counts]) != cli.EXIT_USAGE, command
+            assert json.loads(capsys.readouterr().out)["dim"] == 16
+
 
 class TestMinimizeAprime:
     def test_random_pair_lands_on_a_or_b(self, capsys):
@@ -230,6 +241,10 @@ class TestMinimizeAprime:
         assert code == cli.EXIT_OK
         assert payload["min_sum"] >= payload["conjecture_floor"] - 1e-6
         assert min(payload["distance_to_a"], payload["distance_to_b"]) < 1e-3
+
+    def test_default_dimension_is_three(self, capsys):
+        assert cli.run(["minimize-aprime", "--restarts", "1"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["best_basis"]["dim"] == 3
 
     def test_one_basis_file_alone_is_usage_error(self, tmp_path, capsys):
         a = write_basis(tmp_path / "a.json", computational_basis(2))

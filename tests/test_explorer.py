@@ -137,6 +137,13 @@ class TestVerifyTheorem2:
         assert run.min_sum >= run.floor - 1e-9
         assert run.sum_at_identity == pytest.approx(1 - 1 / d, abs=1e-9)
 
+    def test_dimension_range(self):
+        for d in (1, 17):
+            with pytest.raises(ValidationError, match=r"\[2, 16\]"):
+                explorer.verify_theorem2(d, trials=1, seed=0)
+        run = explorer.verify_theorem2(16, trials=1, seed=0)
+        assert run.violations == []
+
     @pytest.mark.parametrize("tol", [1e-9, -0.6])
     def test_blocks_match_the_per_trial_loop(self, tol):
         trials = explorer._TRIAL_BLOCK + 3
@@ -258,6 +265,17 @@ class TestConjectureSearch:
     def test_bad_dim_rejected(self):
         with pytest.raises(ValidationError):
             explorer.conjecture_search(7, trials=1, seed=0)
+
+
+class TestTrialCounts:
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_drivers_reject_fewer_than_one_trial(self, trials):
+        with pytest.raises(ValidationError, match="at least one trial"):
+            explorer.conjecture_search(3, trials, 0)
+        with pytest.raises(ValidationError, match="at least one trial"):
+            explorer.verify_theorem2(3, trials, 0)
+        with pytest.raises(ValidationError, match="at least one trial"):
+            explorer.verify_properties(trials=trials)
 
 
 class TestVerifyProperties:

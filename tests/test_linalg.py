@@ -68,6 +68,21 @@ class TestStacks:
             linalg.check_hermitian(ms)
 
 
+class TestExpectations:
+    def test_broadcasts_like_explicit_quadratic_forms(self):
+        terms = np.array([random_hermitian(3, 30 + t) for t in range(4)])
+        states = np.array([linalg.haar_unit_vector(3, 31, s) for s in range(5)])
+        out = linalg.expectations(terms, states)
+        assert out.shape == (4, 5)
+        for t in range(4):
+            for s in range(5):
+                psi = states[s]
+                assert out[t, s] == pytest.approx((psi.conj() @ terms[t] @ psi).real, abs=1e-14)
+        # one candidate stack per matrix: (P, m, d) against (P, d, d) gives (P, m)
+        per_term = linalg.expectations(terms, np.broadcast_to(states, (4, 5, 3)))
+        assert np.allclose(per_term, out, atol=1e-14, rtol=0)
+
+
 class TestSpectralRadius:
     def test_zero_matrix(self):
         assert linalg.spectral_radius(np.zeros((3, 3))) == 0.0
@@ -100,15 +115,19 @@ class TestHaarSampling:
         u1 = linalg.haar_unitary(3, 42)
         u2 = linalg.haar_unitary(3, 42)
         assert np.array_equal(u1, u2)
+        assert np.array_equal(linalg.haar_unit_vector(3, 5), linalg.haar_unit_vector(3, 5))
 
     def test_unitarity(self):
         for d in (2, 3, 5, 16):
             u = linalg.haar_unitary(d, 1)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
+            assert abs(np.linalg.norm(linalg.haar_unit_vector(d, 1)) - 1.0) <= 1e-12
 
     def test_dim_below_two_rejected(self):
         with pytest.raises(ValidationError):
             linalg.haar_unitary(1, 0)
+        with pytest.raises(ValidationError):
+            linalg.haar_unit_vector(1, 0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_stack_equals_single_draws(self, d):
@@ -137,6 +156,18 @@ class TestHaarSampling:
         cdf = 1.0 - (1.0 - samples) ** (d - 1)
         ks = max(np.max(np.abs(ecdf - cdf)), np.max(np.abs(ecdf - 1.0 / n - cdf)))
         assert ks < 0.01
+
+    def test_overlap_statistics_follow_beta_law(self):
+        d, n = 3, 30_000
+        fixed = np.zeros(d)
+        fixed[0] = 1.0
+        samples = np.empty(n)
+        for k in range(n):
+            samples[k] = abs(linalg.haar_unit_vector(d, 21, k)[0]) ** 2
+        samples.sort()
+        ecdf = np.arange(1, n + 1) / n
+        cdf = 1.0 - (1.0 - samples) ** (d - 1)
+        assert np.max(np.abs(ecdf - cdf)) < 0.015
 
     def test_left_invariance_of_overlap_moments(self):
         # Fixed left-multiplication by a unitary leaves overlap moments alone.

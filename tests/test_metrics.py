@@ -3,19 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtradeoff import bloch, linalg, metrics, oracle, structures
 from qtradeoff.errors import UnsupportedSizeError, ValidationError
-from qtradeoff.measurement import (
-    OrthonormalBasis,
-    born_probabilities,
-    computational_basis,
-    haar_random_basis,
-    maximally_mixed,
-    post_measurement_state,
-    pure_state,
-    random_pure_state,
-)
+from qtradeoff.measurement import OrthonormalBasis, computational_basis, haar_random_basis
 
 from conftest import random_triple
 
@@ -25,44 +18,86 @@ def rotated_qubit_basis(phi):
     return bloch.bloch_to_basis(np.array([math.sin(phi), 0.0, math.cos(phi)]))
 
 
+# Density-matrix reference for the state-dependent quantities, written from
+# the definitions: rho = |psi><psi|, the Born distribution is the diagonal of
+# rho in a basis, and an unread measurement collapses rho to
+# sum_k <v_k|rho|v_k> |v_k><v_k|.
+
+def born(basis, rho):
+    return np.real(np.diag(basis.vectors.conj() @ rho @ basis.vectors.T))
+
+
+def collapse(basis, rho):
+    return sum(p * np.outer(v, v.conj()) for p, v in zip(born(basis, rho), basis.vectors))
+
+
+def reference_error(a, ap, psi):
+    rho = np.outer(psi, psi.conj())
+    return np.max(np.abs(born(a, rho) - born(ap, rho)))
+
+
+def reference_disturbance(ap, b, psi):
+    rho = np.outer(psi, psi.conj())
+    return np.max(np.abs(born(b, rho) - born(b, collapse(ap, rho))))
+
+
 class TestStateDependent:
     def test_error_vanishes_for_identical_bases(self):
         a = haar_random_basis(3, 0)
-        rho = random_pure_state(3, 1)
-        assert metrics.state_dependent_error(a, a, rho) == 0.0
+        psi = linalg.haar_unit_vector(3, 1)
+        assert metrics.state_dependent_error(a, a, psi) == 0.0
 
     def test_error_maximal_for_orthogonal_eigenstate(self):
         a = computational_basis(2)
         ap = OrthonormalBasis(vectors=a.vectors[::-1].copy())
-        rho = pure_state(a.vectors[0])
-        assert metrics.state_dependent_error(a, ap, rho) == pytest.approx(1.0)
+        assert metrics.state_dependent_error(a, ap, a.vectors[0]) == pytest.approx(1.0)
 
     def test_error_matches_direct_born_evaluation(self):
-        a, ap, _ = random_triple(3, 11)
-        rho = random_pure_state(3, 12)
-        direct = max(
-            abs(float(np.real(a.vectors[i].conj() @ rho.matrix @ a.vectors[i]))
-                - float(np.real(ap.vectors[i].conj() @ rho.matrix @ ap.vectors[i])))
-            for i in range(3))
-        assert metrics.state_dependent_error(a, ap, rho) == pytest.approx(direct, abs=1e-12)
+        for d in (2, 3, 4, 5):
+            a, ap, _ = random_triple(d, 11 + d)
+            psi = linalg.haar_unit_vector(d, 12, d)
+            got = metrics.state_dependent_error(a, ap, psi)
+            assert isinstance(got, float)
+            assert got == pytest.approx(reference_error(a, ap, psi), abs=1e-12)
 
     def test_disturbance_vanishes_for_compatible_measurement(self):
         b = haar_random_basis(3, 2)
-        rho = random_pure_state(3, 3)
-        assert metrics.state_dependent_disturbance(b, b, rho) < 1e-12
-
-    def test_disturbance_vanishes_on_maximally_mixed(self):
-        ap, b, _ = random_triple(4, 13)
-        assert metrics.state_dependent_disturbance(ap, b, maximally_mixed(4)) < 1e-12
+        psi = linalg.haar_unit_vector(3, 3)
+        assert metrics.state_dependent_disturbance(b, b, psi) < 1e-12
 
     def test_disturbance_matches_composition(self):
-        ap, b, _ = random_triple(3, 14)
-        rho = random_pure_state(3, 15)
-        composed = max(abs(x - y) for x, y in zip(
-            born_probabilities(b, rho),
-            born_probabilities(b, post_measurement_state(ap, rho))))
-        got = metrics.state_dependent_disturbance(ap, b, rho)
-        assert got == pytest.approx(composed, abs=1e-12)
+        for d in (2, 3, 4, 5):
+            ap, b, _ = random_triple(d, 14 + d)
+            psi = linalg.haar_unit_vector(d, 15, d)
+            got = metrics.state_dependent_disturbance(ap, b, psi)
+            assert isinstance(got, float)
+            assert got == pytest.approx(reference_disturbance(ap, b, psi), abs=1e-12)
+
+    def test_batch_matches_each_state(self):
+        a, ap, b = random_triple(4, 16)
+        psi = np.array([linalg.haar_unit_vector(4, 17, k) for k in range(6)])
+        eps = metrics.state_dependent_error(a, ap, psi)
+        eta = metrics.state_dependent_disturbance(ap, b, psi)
+        assert eps.shape == eta.shape == (6,)
+        for k in range(6):
+            assert eps[k] == pytest.approx(metrics.state_dependent_error(a, ap, psi[k]), abs=1e-15)
+            assert eta[k] == pytest.approx(
+                metrics.state_dependent_disturbance(ap, b, psi[k]), abs=1e-15)
+
+    @pytest.mark.parametrize("psi", [
+        [np.nan, 0.0, 0.0],
+        [1.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0],
+        [1.0, 0.0],
+        [[[1.0, 0.0, 0.0]]],
+        [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
+    ])
+    def test_bad_states_rejected(self, psi):
+        a, ap, b = random_triple(3, 18)
+        with pytest.raises(ValidationError):
+            metrics.state_dependent_error(a, ap, psi)
+        with pytest.raises(ValidationError):
+            metrics.state_dependent_disturbance(ap, b, psi)
 
 
 class TestError:
@@ -258,6 +293,42 @@ class TestRephasing:
                 assert abs(top - r) < 1e-10
 
 
+def all_quantities(a, ap, b, psi):
+    """eps, eta, delta and the state-dependent eps_psi, eta_psi."""
+    return np.array([metrics.error(a, ap).value, metrics.disturbance(ap, b).value,
+                     metrics.overall_error(a, ap, b).value,
+                     metrics.state_dependent_error(a, ap, psi),
+                     metrics.state_dependent_disturbance(ap, b, psi)])
+
+
+class TestInvariance:
+    """The quantities depend on the bases only through projectors and Born
+    statistics, so a common unitary or a rephased vector changes nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_common_unitary_changes_nothing(self, d, seed):
+        a, ap, b = random_triple(d, seed)
+        psi = linalg.haar_unit_vector(d, seed, 3)
+        u = linalg.haar_unitary(d, seed, 4)
+        moved = [OrthonormalBasis(vectors=x.vectors @ u.T) for x in (a, ap, b)]
+        before = all_quantities(a, ap, b, psi)
+        after = all_quantities(*moved, u @ psi)
+        assert np.max(np.abs(after - before)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1), which=st.integers(0, 2),
+           index=st.integers(0, 4), phase=st.floats(0.0, 2 * math.pi))
+    def test_rephasing_one_vector_changes_nothing(self, d, seed, which, index, phase):
+        triple = list(random_triple(d, seed))
+        psi = linalg.haar_unit_vector(d, seed, 3)
+        v = triple[which].vectors.copy()
+        v[index % d] *= np.exp(1j * phase)
+        before = all_quantities(*triple, psi)
+        triple[which] = OrthonormalBasis(vectors=v)
+        assert np.max(np.abs(all_quantities(*triple, psi) - before)) <= 1e-12
+
+
 class TestOverallError:
     def test_reduces_to_disturbance_at_identity(self):
         a, _, b = random_triple(3, 19)
@@ -401,11 +472,11 @@ class TestPointwiseDominance:
         for d in (2, 3, 4, 5):
             for seed in range(25):
                 a, ap, b = random_triple(d, 1000 * d + seed)
-                rho = random_pure_state(d, 2000 * d + seed)
+                psi = linalg.haar_unit_vector(d, 2000 * d + seed)
                 eps = metrics.error(a, ap).value
                 eta = metrics.disturbance(ap, b).value
-                assert metrics.state_dependent_error(a, ap, rho) <= eps + 1e-9
-                assert metrics.state_dependent_disturbance(ap, b, rho) <= eta + 1e-9
+                assert metrics.state_dependent_error(a, ap, psi) <= eps + 1e-9
+                assert metrics.state_dependent_disturbance(ap, b, psi) <= eta + 1e-9
 
 
 class TestTradeoffReport:
@@ -423,9 +494,9 @@ class TestTradeoffReport:
     def test_witness_state_achieves_delta(self):
         a, ap, b = random_triple(3, 44)
         rep = metrics.tradeoff_report(a, ap, b)
-        rho = pure_state(rep.witness_state)
-        achieved = (metrics.state_dependent_error(a, ap, rho)
-                    + metrics.state_dependent_disturbance(ap, b, rho))
+        psi = rep.witness_state
+        achieved = (metrics.state_dependent_error(a, ap, psi)
+                    + metrics.state_dependent_disturbance(ap, b, psi))
         assert achieved == pytest.approx(rep.delta, abs=1e-9)
         # the witness is a genuine lower bound through the state-dependent path
         assert rep.delta >= achieved - 1e-9

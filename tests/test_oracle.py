@@ -85,6 +85,40 @@ class TestMaxSumOverStates:
                                        samples=1, refine_iters=1, seed=0)
 
 
+class TestMaximizers:
+    def test_maximizer_reproduces_value_through_state_dependent_metrics(self):
+        for d in (2, 3, 4):
+            a, ap, b = random_triple(d, 50 + d)
+            draw = (300, 100, d)
+            out = oracle.max_sum_over_states(a, ap, b, *draw)
+            psi = out.maximizer
+            assert (metrics.state_dependent_error(a, ap, psi)
+                    + metrics.state_dependent_disturbance(ap, b, psi)
+                    == pytest.approx(out.value, abs=1e-12))
+            out = oracle.max_error_over_states(a, ap, *draw)
+            assert metrics.state_dependent_error(a, ap, out.maximizer) == pytest.approx(
+                out.value, abs=1e-12)
+            out = oracle.max_disturbance_over_states(ap, b, *draw)
+            assert metrics.state_dependent_disturbance(ap, b, out.maximizer) == pytest.approx(
+                out.value, abs=1e-12)
+
+    def test_entry_points_never_call_an_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called an eigensolver")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for name in ("spectral_radius", "eigvals_hermitian", "eig_hermitian"):
+            monkeypatch.setattr(linalg, name, refuse)
+        a, ap, b = random_triple(3, 60)
+        m = random_hermitian(3, 61)
+        draw = (50, 20, 0)
+        oracle.max_expectation(m, *draw)
+        oracle.max_error_over_states(a, ap, *draw)
+        oracle.max_disturbance_over_states(ap, b, *draw)
+        oracle.max_sum_over_states(a, ap, b, *draw)
+
+
 class TestAnalyticValuesAtD4:
     def test_every_objective_reaches_its_analytic_value(self):
         for seed in range(20):
