@@ -188,14 +188,12 @@ def _cmd_oracle_check(args) -> int:
         ap = haar_random_basis(args.dim, args.seed, t, 1)
         b = haar_random_basis(args.dim, args.seed, t, 2)
         # Sub-streams 0-2 of trial t drew its bases; its oracle draws from 3.
-        draw = (args.samples, args.refine_iters, args.seed, t, 3)
+        eps, eta, delta = oracle.max_all_over_states(
+            a, ap, b, args.samples, args.refine_iters, args.seed, t, 3)
         pairs = {
-            "epsilon": (metrics.error(a, ap).value,
-                        oracle.max_error_over_states(a, ap, *draw)),
-            "eta": (metrics.disturbance(ap, b).value,
-                    oracle.max_disturbance_over_states(ap, b, *draw)),
-            "delta": (metrics.overall_error(a, ap, b).value,
-                      oracle.max_sum_over_states(a, ap, b, *draw)),
+            "epsilon": (metrics.error(a, ap).value, eps),
+            "eta": (metrics.disturbance(ap, b).value, eta),
+            "delta": (metrics.overall_error(a, ap, b).value, delta),
         }
         row = {"trial": t}
         for name, (analytic, sampled) in pairs.items():
@@ -264,14 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("scan-theorem1", _cmd_scan_theorem1, "d=2 sweep of the intermediate basis",
                 table=True)
-    p.add_argument("--b-angle", type=float, required=True, dest="b_angle")
+    p.add_argument("--b-angle", type=_finite_float, required=True, dest="b_angle")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--plane-only", action=argparse.BooleanOptionalAction,
                    default=True, dest="plane_only")
 
     p = command("scan-bounds-d3", _cmd_scan_bounds_d3, "d=3 disturbance bound sweep",
                 table=True)
-    p.add_argument("--overlap1-sq", type=float, default=0.1, dest="overlap1_sq")
+    p.add_argument("--overlap1-sq", type=_finite_float, default=0.1,
+                   dest="overlap1_sq")
     p.add_argument("--steps", type=int, default=200)
 
     p = command("verify-properties", _cmd_verify_properties,

@@ -6,8 +6,11 @@ largest term, a signed Born-rule combination such as
 quadratic form.  One term per family makes a piece.  A quadratic form has no
 local maximum on the unit sphere that is not global, so every piece climbs
 from its own best Haar sample in one batched ascent, and none can stall in
-another piece's basin.  2x2 and 3x3 Hermitian eigenvalues come from closed
-forms.  Nothing here ever calls the eigensolver, so agreement with the
+another piece's basin.  Several objectives over the same families (eps, eta
+and their sum) share one sample set and one ascent: each family is evaluated
+once per sample, and the pieces of all objectives climb side by side without
+changing one another's result.  2x2 and 3x3 Hermitian eigenvalues come from
+closed forms.  Nothing here ever calls the eigensolver, so agreement with the
 analytic path is evidence rather than tautology.
 """
 
@@ -31,7 +34,9 @@ class OracleResult:
     """Best value found and the unit vector attaining it.
 
     ``refinement_steps`` counts sweeps of the batched refine loop; one sweep
-    tries every coordinate move of every piece still refining.
+    tries every coordinate move of every piece still refining.  When several
+    objectives are maximized together (``max_all_over_states``), it counts
+    the sweeps of their shared ascent, the same number in each result.
     """
     value: float
     maximizer: np.ndarray
@@ -53,19 +58,24 @@ def _pieces(parts):
     return out
 
 
-def _maximize(families, dim: int, samples: int, refine_iters: int,
-              seed: int, *stream: int) -> OracleResult:
-    """Maximum over unit vectors of the sum over families of the largest term.
+def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
+              seed: int, *stream: int) -> list[OracleResult]:
+    """Maximum over unit vectors of each objective: the sum over its families
+    (a tuple of indices into ``families``) of the family's largest term.
 
-    Every piece (one term from each family) starts from its best Haar sample
-    and climbs by projected coordinate ascent: each sweep tries the 4*dim
-    moves +/-step, +/-i*step on every coordinate of every piece at once,
-    keeps each piece's best improving move, and halves the step of each piece
-    that did not improve; a piece stops once its step falls below 1e-10.
+    Each family is evaluated once per block of Haar samples.  Every piece of
+    every objective (one term from each of its families) starts from its best
+    sample, and all pieces climb together by projected coordinate ascent: each
+    sweep tries the 4*dim moves +/-step, +/-i*step on every coordinate of every
+    piece at once, keeps each piece's best improving move, and halves the step
+    of each piece that did not improve; a piece stops once its step falls
+    below 1e-10.  Pieces never interact, so an objective's result does not
+    depend on which others share the ascent.  One result per objective.
     """
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
-    pieces = _pieces(families)
+    groups = [_pieces([families[f] for f in obj]) for obj in objectives]
+    pieces = np.concatenate(groups)
     every = np.arange(len(pieces))
     psi = np.zeros((len(pieces), dim), dtype=np.complex128)
     value = np.full(len(pieces), -np.inf)
@@ -74,7 +84,9 @@ def _maximize(families, dim: int, samples: int, refine_iters: int,
         n = min(_BLOCK, samples - start)
         draw = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
         draw /= np.linalg.norm(draw, axis=1, keepdims=True)
-        vals = _pieces([expectations(terms, draw) for terms in families])
+        per_family = [expectations(family, draw) for family in families]
+        vals = np.concatenate([_pieces([per_family[f] for f in obj])
+                               for obj in objectives])
         best = np.argmax(vals, axis=1)
         top = vals[every, best]
         better = top > value
@@ -96,18 +108,22 @@ def _maximize(families, dim: int, samples: int, refine_iters: int,
         step[live[~gain]] *= 0.5
         live = live[step[live] >= _STEP_FLOOR]
         sweeps += 1
-    total = sum(np.max(expectations(terms, psi), axis=0) for terms in families)
-    k = int(np.argmax(total))
-    return OracleResult(value=float(total[k]), maximizer=psi[k],
-                        samples_used=samples, refinement_steps=sweeps)
+    results = []
+    ends = np.cumsum([len(g) for g in groups])[:-1]
+    for obj, part in zip(objectives, np.split(psi, ends)):
+        total = sum(np.max(expectations(families[f], part), axis=0) for f in obj)
+        k = int(np.argmax(total))
+        results.append(OracleResult(value=float(total[k]), maximizer=part[k],
+                                    samples_used=samples, refinement_steps=sweeps))
+    return results
 
 
 def max_expectation(m: np.ndarray, samples: int, refine_iters: int,
                     seed: int, *stream: int) -> OracleResult:
     """Sampled maximum of |<psi|m|psi>| over unit vectors (Hermitian m)."""
     h = check_hermitian(m)
-    return _maximize((np.stack([h, -h]),), h.shape[0], samples, refine_iters,
-                     seed, *stream)
+    return _maximize((np.stack([h, -h]),), ((0,),), h.shape[0], samples,
+                     refine_iters, seed, *stream)[0]
 
 
 def _error_terms(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
@@ -124,14 +140,32 @@ def _disturbance_terms(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
                          np.vstack([b.vectors, ap.vectors]))
 
 
+def _triple_terms(a: OrthonormalBasis, ap: OrthonormalBasis,
+                  b: OrthonormalBasis) -> tuple[np.ndarray, np.ndarray]:
+    if not a.dim == ap.dim == b.dim:
+        raise ValidationError(f"dimension mismatch: {a.dim}, {ap.dim}, {b.dim}")
+    return _error_terms(a, ap), _disturbance_terms(ap, b)
+
+
+def max_all_over_states(a: OrthonormalBasis, ap: OrthonormalBasis,
+                        b: OrthonormalBasis, samples: int, refine_iters: int,
+                        seed: int, *stream: int) -> tuple[OracleResult, ...]:
+    """Sampled maxima of eps_rho, eta_rho and eps_rho + eta_rho over pure
+    states, from one sample set and one shared ascent.
+
+    Each result equals the matching ``max_*_over_states`` result for the same
+    draw, except that ``refinement_steps`` counts the shared sweeps.
+    """
+    return tuple(_maximize(_triple_terms(a, ap, b), ((0,), (1,), (0, 1)), a.dim,
+                           samples, refine_iters, seed, *stream))
+
+
 def max_sum_over_states(a: OrthonormalBasis, ap: OrthonormalBasis,
                         b: OrthonormalBasis, samples: int, refine_iters: int,
                         seed: int, *stream: int) -> OracleResult:
     """Sampled maximum of eps_rho + eta_rho over pure states."""
-    if not a.dim == ap.dim == b.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim}, {ap.dim}, {b.dim}")
-    return _maximize((_error_terms(a, ap), _disturbance_terms(ap, b)), a.dim,
-                     samples, refine_iters, seed, *stream)
+    return _maximize(_triple_terms(a, ap, b), ((0, 1),), a.dim, samples,
+                     refine_iters, seed, *stream)[0]
 
 
 def max_error_over_states(a: OrthonormalBasis, ap: OrthonormalBasis,
@@ -140,8 +174,8 @@ def max_error_over_states(a: OrthonormalBasis, ap: OrthonormalBasis,
     """Sampled maximum of the state-dependent error over pure states."""
     if a.dim != ap.dim:
         raise ValidationError(f"dimension mismatch: {a.dim} vs {ap.dim}")
-    return _maximize((_error_terms(a, ap),), a.dim, samples, refine_iters,
-                     seed, *stream)
+    return _maximize((_error_terms(a, ap),), ((0,),), a.dim, samples,
+                     refine_iters, seed, *stream)[0]
 
 
 def max_disturbance_over_states(ap: OrthonormalBasis, b: OrthonormalBasis,
@@ -150,8 +184,8 @@ def max_disturbance_over_states(ap: OrthonormalBasis, b: OrthonormalBasis,
     """Sampled maximum of the state-dependent disturbance over pure states."""
     if ap.dim != b.dim:
         raise ValidationError(f"dimension mismatch: {ap.dim} vs {b.dim}")
-    return _maximize((_disturbance_terms(ap, b),), ap.dim, samples,
-                     refine_iters, seed, *stream)
+    return _maximize((_disturbance_terms(ap, b),), ((0,),), ap.dim, samples,
+                     refine_iters, seed, *stream)[0]
 
 
 def eig2_closed(m: np.ndarray) -> np.ndarray:

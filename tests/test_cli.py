@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtradeoff
 from qtradeoff import cli
 from qtradeoff.measurement import computational_basis, haar_random_basis
 
@@ -20,6 +25,18 @@ def triple_files(tmp_path):
         basis = haar_random_basis(3, 11, k)
         paths.append(write_basis(tmp_path / name, basis))
     return paths
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(qtradeoff.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        done = subprocess.run([sys.executable, "-m", "qtradeoff", "scan-theorem1",
+                               "--b-angle", "1", "--steps", "3"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert len(json.loads(done.stdout)["rows"]) == 3
 
 
 class TestBasisFiles:
@@ -214,6 +231,15 @@ class TestVerificationExitCodes:
                      ["minimize-aprime", "--restarts", "0"]):
             assert cli.run(argv) == cli.EXIT_USAGE, argv
         assert capsys.readouterr().out == ""
+
+    def test_non_finite_float_flags_are_usage_errors(self, capsys):
+        for flag, argv in (("--b-angle", ["scan-theorem1", "--steps", "3"]),
+                           ("--overlap1-sq", ["scan-bounds-d3", "--steps", "3"])):
+            for text in ("nan", "inf", "-inf"):
+                assert cli.run(argv + [f"{flag}={text}"]) == cli.EXIT_USAGE, (flag, text)
+                out = capsys.readouterr()
+                assert out.out == ""
+                assert "must be finite" in out.err
 
     def test_non_finite_payload_is_never_written(self):
         with pytest.raises(ValueError):

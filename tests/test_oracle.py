@@ -83,6 +83,9 @@ class TestMaxSumOverStates:
         with pytest.raises(ValidationError):
             oracle.max_sum_over_states(a, a, computational_basis(3),
                                        samples=1, refine_iters=1, seed=0)
+        with pytest.raises(ValidationError):
+            oracle.max_all_over_states(a, computational_basis(3), a,
+                                       samples=1, refine_iters=1, seed=0)
 
 
 class TestMaximizers:
@@ -117,6 +120,29 @@ class TestMaximizers:
         oracle.max_error_over_states(a, ap, *draw)
         oracle.max_disturbance_over_states(ap, b, *draw)
         oracle.max_sum_over_states(a, ap, b, *draw)
+        oracle.max_all_over_states(a, ap, b, *draw)
+
+
+class TestSharedAscent:
+    @pytest.mark.parametrize("refine_iters", [200, 3])
+    def test_matches_the_separate_entry_points(self, refine_iters):
+        # 200 is the oracle-check default; a cap of 3 stops the ascent early.
+        for d in (2, 3, 4, 5):
+            for seed in range(3):
+                a, ap, b = random_triple(d, 70 * d + seed)
+                draw = (2000, refine_iters, seed, 1, 3)
+                shared = oracle.max_all_over_states(a, ap, b, *draw)
+                separate = (oracle.max_error_over_states(a, ap, *draw),
+                            oracle.max_disturbance_over_states(ap, b, *draw),
+                            oracle.max_sum_over_states(a, ap, b, *draw))
+                for one, alone in zip(shared, separate):
+                    assert one.value == alone.value
+                    assert np.array_equal(one.maximizer, alone.maximizer)
+                    assert one.samples_used == alone.samples_used
+                sweeps = max(alone.refinement_steps for alone in separate)
+                assert all(one.refinement_steps == sweeps for one in shared)
+                if refine_iters == 3:
+                    assert sweeps == 3  # the cap, not convergence, ended the ascent
 
 
 class TestAnalyticValuesAtD4:
