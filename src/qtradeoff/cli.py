@@ -188,12 +188,14 @@ def _cmd_oracle_check(args) -> int:
         ap = haar_random_basis(args.dim, args.seed, t, 1)
         b = haar_random_basis(args.dim, args.seed, t, 2)
         # Sub-streams 0-2 of trial t drew its bases; its oracle draws from 3.
-        eps, eta, delta = oracle.max_all_over_states(
-            a, ap, b, args.samples, args.refine_iters, args.seed, t, 3)
+        draw = (args.samples, args.refine_iters, args.seed, t, 3)
         pairs = {
-            "epsilon": (metrics.error(a, ap).value, eps),
-            "eta": (metrics.disturbance(ap, b).value, eta),
-            "delta": (metrics.overall_error(a, ap, b).value, delta),
+            "epsilon": (metrics.error(a, ap).value,
+                        oracle.max_error_over_states(a, ap, *draw)),
+            "eta": (metrics.disturbance(ap, b).value,
+                    oracle.max_disturbance_over_states(ap, b, *draw)),
+            "delta": (metrics.overall_error(a, ap, b).value,
+                      oracle.max_sum_over_states(a, ap, b, *draw)),
         }
         row = {"trial": t}
         for name, (analytic, sampled) in pairs.items():

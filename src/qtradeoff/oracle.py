@@ -34,9 +34,10 @@ class OracleResult:
     """Best value found and the unit vector attaining it.
 
     ``refinement_steps`` counts sweeps of the batched refine loop; one sweep
-    tries every coordinate move of every piece still refining.  When several
-    objectives are maximized together (``max_all_over_states``), it counts
-    the sweeps of their shared ascent, the same number in each result.
+    tries every coordinate move of every piece still refining.  It counts
+    the sweeps until the objective's own pieces stopped (or the cap), so an
+    objective maximized in a shared ascent (``max_all_over_states``) reports
+    what it reports when maximized alone.
     """
     value: float
     maximizer: np.ndarray
@@ -92,29 +93,45 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
         better = top > value
         psi[better] = draw[best[better]]
         value[better] = top[better]
+    # Each move adds +/-step to the real or imaginary part of one coordinate;
+    # on the float view of psi that is one entry of +/-1 per row.
     moves = np.concatenate([u * np.eye(dim) for u in (1.0, -1.0, 1.0j, -1.0j)])
+    moves = moves.view(np.float64)
+    # The live pieces are held compacted; a piece leaves when its step drops
+    # below the floor, and last[p] is the sweep in which it left.
+    live, mats, at, val = every, pieces, psi.copy(), value.copy()
     step = np.full(len(pieces), 0.1)
-    live = every
+    last = np.zeros(len(pieces), dtype=int)
+    rows = every
     sweeps = 0
     while live.size and sweeps < refine_iters:
-        cand = psi[live, None, :] + step[live, None, None] * moves
-        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        vals = expectations(pieces[live], cand)
-        best = np.argmax(vals, axis=1)
-        top = vals[np.arange(live.size), best]
-        gain = top > value[live]
-        psi[live[gain]] = cand[gain, best[gain]]
-        value[live[gain]] = top[gain]
-        step[live[~gain]] *= 0.5
-        live = live[step[live] >= _STEP_FLOOR]
+        cand = at.view(np.float64)[:, None, :] + step[:, None, None] * moves
+        cand = cand.view(np.complex128)
+        # The bits of cand /= np.linalg.norm(cand, ...), with fewer passes.
+        cand *= 1.0 / np.sqrt((cand.conj() * cand).real.sum(axis=2, keepdims=True))
+        vals = expectations(mats, cand)
+        best = vals.argmax(axis=1)
+        top = vals[rows, best]
+        gain = top > val
+        np.copyto(at, cand[rows, best], where=gain[:, None])
+        np.copyto(val, top, where=gain)
+        np.multiply(step, 0.5, out=step, where=~gain)
         sweeps += 1
+        keep = step >= _STEP_FLOOR
+        if not keep.all():
+            psi[live], value[live], last[live] = at, val, sweeps
+            live, mats, at, val, step = (
+                live[keep], mats[keep], at[keep], val[keep], step[keep])
+            rows = rows[:live.size]
+    psi[live], value[live], last[live] = at, val, sweeps
     results = []
     ends = np.cumsum([len(g) for g in groups])[:-1]
-    for obj, part in zip(objectives, np.split(psi, ends)):
+    for obj, part, stops in zip(objectives, np.split(psi, ends), np.split(last, ends)):
         total = sum(np.max(expectations(families[f], part), axis=0) for f in obj)
         k = int(np.argmax(total))
         results.append(OracleResult(value=float(total[k]), maximizer=part[k],
-                                    samples_used=samples, refinement_steps=sweeps))
+                                    samples_used=samples,
+                                    refinement_steps=int(stops.max())))
     return results
 
 
@@ -154,7 +171,7 @@ def max_all_over_states(a: OrthonormalBasis, ap: OrthonormalBasis,
     states, from one sample set and one shared ascent.
 
     Each result equals the matching ``max_*_over_states`` result for the same
-    draw, except that ``refinement_steps`` counts the shared sweeps.
+    draw, field for field.
     """
     return tuple(_maximize(_triple_terms(a, ap, b), ((0,), (1,), (0, 1)), a.dim,
                            samples, refine_iters, seed, *stream))
