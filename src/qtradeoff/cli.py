@@ -43,18 +43,21 @@ def _complex_pairs(vec) -> list:
 def load_basis(path: str) -> OrthonormalBasis:
     """Read a basis file: {"dim": d, "vectors": [[[re, im], ...], ...]}.
 
-    Exactly orthonormal input is taken as is; input within the file tolerance
-    is Gram-Schmidt repaired; anything worse is rejected naming the failing
-    pair of indices.
+    ``dim`` must lie in [2, linalg.MAX_DIM]; it is checked before the vectors
+    are parsed.  Exactly orthonormal input is taken as is; input within the
+    file tolerance is Gram-Schmidt repaired; anything worse is rejected naming
+    the failing pair of indices.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         dim = int(data["dim"])
+        if not 2 <= dim <= linalg.MAX_DIM:
+            raise ValueError(f"dim must be in [2, {linalg.MAX_DIM}], got {dim}")
         raw = data["vectors"]
         vectors = np.array([[complex(re, im) for re, im in row] for row in raw])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed basis file ({exc})") from exc
+        raise ValidationError(f"{path}: invalid basis file ({exc})") from exc
     if vectors.shape != (dim, dim):
         raise ValidationError(f"{path}: expected {dim}x{dim} vectors, got {vectors.shape}")
     try:

@@ -134,31 +134,24 @@ def scan_bounds_d3(overlap1_sq: float, steps: int) -> ScanTable:
     if not 0.0 <= overlap1_sq <= 1.0 / 3.0 + 1e-12:
         raise ValidationError(f"overlap1_sq must lie in [0, 1/3], got {overlap1_sq}")
     c1 = float(overlap1_sq)
-    c2_grid = np.linspace(c1, (1.0 - c1) / 2.0, steps)
-    rows = np.empty((steps, 4))
-    for r, c2 in enumerate(c2_grid):
-        c3 = 1.0 - c1 - c2
-        c = np.array([c1, c2, c3])
-        bi = np.sqrt(c)
-        m = np.outer(bi, bi) - np.diag(c)
-        eta_i = linalg.spectral_radius(m)
-        bound1 = math.sqrt((2.0 / 3.0) * max(1.0 - np.sum(c**2), 0.0))
-        root = np.sqrt(c)
-        bound2 = float(np.max(root * (np.sum(root) - root)))
-        rows[r] = (c2, eta_i, bound1, bound2)
+    c2 = np.linspace(c1, (1.0 - c1) / 2.0, steps)
+    w = np.stack([np.full(steps, c1), c2, 1.0 - c1 - c2], axis=-1)
+    m = np.sqrt(w)
+    eta = linalg.spectral_radius(metrics.frame_rows(m, w))
+    rows = np.stack([c2, eta, metrics.bound1_rows(w), metrics.bound2_rows(m)], axis=-1)
     return ScanTable(column_names=["overlap2_sq", "eta", "bound1", "bound2"], rows=rows)
 
 
-def _haar_blocks(d: int, seed: int, trials: int, *subs: tuple):
+def _haar_blocks(d: int, seed: int, trials: int, *subs: tuple, prefix: tuple = ()):
     """Blocks of at most _TRIAL_BLOCK trials, as (first trial, bases).
 
     ``bases`` holds one batch basis per sub-stream in ``subs``; entry i of
-    batch k equals ``haar_random_basis(d, seed, first + i, *subs[k])``.  Each
-    block makes one stacked Haar draw.
+    batch k equals ``haar_random_basis(d, seed, *prefix, first + i, *subs[k])``.
+    Each block makes one stacked Haar draw.
     """
     for first in range(0, trials, _TRIAL_BLOCK):
         ts = range(first, min(first + _TRIAL_BLOCK, trials))
-        u = linalg.haar_unitaries(d, seed, [(t, *sub) for t in ts for sub in subs])
+        u = linalg.haar_unitaries(d, seed, [(*prefix, t, *sub) for t in ts for sub in subs])
         v = np.swapaxes(u, -1, -2).reshape(len(ts), len(subs), d, d)
         yield first, [OrthonormalBasis(vectors=v[:, k].copy()) for k in range(len(subs))]
 
@@ -340,43 +333,38 @@ def conjecture_search(d: int, trials: int, seed: int,
 def verify_properties(dims=(2, 3, 4, 5), trials: int = 100, seed: int = 0,
                       tol: float = ASSERTION_TOL) -> PropertyRun:
     """Check Properties 1-4, reducibility and subsystems on random instances."""
+    if not dims or not all(2 <= d <= linalg.MAX_DIM for d in dims):
+        raise ValidationError(f"dims must be non-empty and in [2, {linalg.MAX_DIM}], got {dims}")
     if trials < 1:
         raise ValidationError(f"need at least one trial, got {trials}")
     checks: List[Tuple[str, bool, str]] = []
 
-    def record(name: str, worst: float, bound: float = 0.0) -> None:
+    def record(name: str, worst: float, bound: float) -> None:
         checks.append((name, bool(worst <= bound), f"worst slack {worst:.3e}"))
 
+    names = ("property1_error_bound", "property1_disturbance_bound", "property4_bound1",
+             "property4_bound2", "property4_geometric_mean", "calibration_error_identity",
+             "perron_frobenius_entries", "perron_frobenius_top_eigenvalue")
+    bounds = (1e-12, tol, tol, tol, tol, tol, 1e-12, 1e-10)
     for d in dims:
-        worst_eps = worst_eta = worst_b1 = worst_b2 = -np.inf
-        worst_geo = worst_cal = worst_pf_entry = worst_pf_eig = -np.inf
-        for t in range(trials):
-            ap = haar_random_basis(d, seed, d, t, 0)
-            b = haar_random_basis(d, seed, d, t, 1)
+        worst = np.full(len(names), -np.inf)
+        for _, (ap, b) in _haar_blocks(d, seed, trials, (0,), (1,), prefix=(d,)):
             eps = metrics.error(ap, b).value
-            eta_witness = metrics.disturbance(ap, b)
-            eta = eta_witness.value
-            worst_eps = max(worst_eps, eps - 1.0)
-            worst_eta = max(worst_eta, eta - (1.0 - 1.0 / d))
-            worst_b1 = max(worst_b1, eta - metrics.disturbance_bound_1(ap, b))
-            worst_b2 = max(worst_b2, eta - metrics.disturbance_bound_2(ap, b))
-            geo = math.sqrt((1.0 - 1.0 / d) * metrics.calibration_disturbance(ap, b))
-            worst_geo = max(worst_geo, eta - geo)
-            worst_cal = max(worst_cal, abs(eps - math.sqrt(metrics.calibration_error(ap, b))))
-            i = eta_witness.index
+            eta, i = metrics.disturbance(ap, b)
             frame = metrics.disturbance_matrix_in_frame(ap, b, i)
-            worst_pf_entry = max(worst_pf_entry, float(-np.min(frame)))
-            top = linalg.eigvals_hermitian(frame)[-1]
-            r = linalg.spectral_radius(metrics.disturbance_matrix(ap, b, i))
-            worst_pf_eig = max(worst_pf_eig, abs(top - r))
-        record(f"property1_error_bound_d{d}", worst_eps, 1e-12)
-        record(f"property1_disturbance_bound_d{d}", worst_eta, tol)
-        record(f"property4_bound1_d{d}", worst_b1, tol)
-        record(f"property4_bound2_d{d}", worst_b2, tol)
-        record(f"property4_geometric_mean_d{d}", worst_geo, tol)
-        record(f"calibration_error_identity_d{d}", worst_cal, tol)
-        record(f"perron_frobenius_entries_d{d}", worst_pf_entry, 1e-12)
-        record(f"perron_frobenius_top_eigenvalue_d{d}", worst_pf_eig, 1e-10)
+            slacks = np.stack([
+                eps - 1.0,
+                eta - (1.0 - 1.0 / d),
+                eta - metrics.disturbance_bound_1(ap, b),
+                eta - metrics.disturbance_bound_2(ap, b),
+                eta - np.sqrt((1.0 - 1.0 / d) * metrics.calibration_disturbance(ap, b)),
+                np.abs(eps - np.sqrt(metrics.calibration_error(ap, b))),
+                -np.min(frame, axis=(-2, -1)),
+                np.abs(linalg.eigvals_hermitian(frame)[..., -1] - eta),
+            ])
+            worst = np.maximum(worst, np.max(slacks, axis=-1))
+        for name, w, bound in zip(names, worst, bounds):
+            record(f"{name}_d{d}", w, bound)
 
     # Property 1 equality witnesses.
     comp = computational_basis(2)

@@ -14,10 +14,14 @@ also provided.  A witness index is the lowest index whose value lies within
 ``TIE_TOL`` of the maximum, so exact ties go to the lowest index whatever the
 round-off; the reported value is the maximum itself.
 
-``error``, ``disturbance``, ``overall_error``, ``relaxed_error`` and
-``conjecture_floor`` also take batches of bases (vectors of shape (n, d, d),
-or one basis broadcast against a batch) and then return arrays of shape
-(n,) in place of Python scalars.
+The bounds and the Perron-Frobenius frame matrix depend only on the rows of
+W_ik = |<b_i|a'_k>|^2, through ``bound1_rows``, ``bound2_rows``, ``frame_rows``.
+
+``error``, ``disturbance``, ``overall_error``, ``relaxed_error``,
+``conjecture_floor``, ``calibration_error``, ``calibration_disturbance`` and
+``disturbance_bound_1``/``_2`` also take batches of bases (vectors of shape
+(n, d, d), or one basis broadcast against a batch) and then return arrays of
+shape (n,) in place of Python scalars.
 """
 
 from __future__ import annotations
@@ -122,10 +126,15 @@ def _projectors(vectors: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ik->...ijk", vectors, vectors.conj())
 
 
+def _overlaps(ap: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<b_i|a'_k>| at [..., i, k] for basis vectors of shape (..., d, d)."""
+    return np.abs(b.conj() @ np.swapaxes(ap, -1, -2))
+
+
 def _disturbance_stacks(ap: np.ndarray, b: np.ndarray) -> np.ndarray:
     """D_i = |b_i><b_i| - sum_k |<b_i|a'_k>|^2 |a'_k><a'_k| for A' vectors of
     shape (..., d, d): shape (..., d, d, d), outcome i before the matrix axes."""
-    w = np.abs(b.conj() @ np.swapaxes(ap, -1, -2)) ** 2  # w[..., i, k] = |<b_i|a'_k>|^2
+    w = _overlaps(ap, b) ** 2
     return _projectors(b) - np.einsum("...ik,...kxy->...ixy", w, _projectors(ap))
 
 
@@ -159,11 +168,6 @@ def disturbance_matrices(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarra
     """Stack over i of |b_i><b_i| - sum_k |<b_i|a'_k>|^2 |a'_k><a'_k|."""
     _require_same_dim(ap, b)
     return _disturbance_stacks(ap.vectors, b.vectors)
-
-
-def error_matrix(a: OrthonormalBasis, ap: OrthonormalBasis, i: int) -> np.ndarray:
-    """|a_i><a_i| - |a'_i><a'_i|."""
-    return error_matrices(a, ap)[i]
 
 
 def disturbance_matrix(ap: OrthonormalBasis, b: OrthonormalBasis, i: int) -> np.ndarray:
@@ -212,58 +216,62 @@ def overall_error(a: OrthonormalBasis, ap: OrthonormalBasis,
     return OverallError(value, _scalar(i), _scalar(j), _scalar(1 - 2 * s))
 
 
-def rephase_against(target: np.ndarray, basis: OrthonormalBasis) -> OrthonormalBasis:
-    """Multiply each basis vector by a unit phase making <target|v_k> real >= 0.
+def _calibration_rows(w: np.ndarray) -> np.ndarray:
+    """1 - sum_k w_k^2 per row w = |<b_i|a'_k>|^2 over k."""
+    return 1.0 - np.sum(w**2, axis=-1)
 
-    Zero overlaps are left untouched.  Spectral radii built from the basis
-    projectors are unchanged by this.
-    """
-    target = np.asarray(target, dtype=np.complex128)
-    o = basis.vectors @ target.conj()  # o_k = <target|v_k>
-    mag = np.abs(o)
-    phases = np.where(mag > 0, np.conj(o) / np.where(mag > 0, mag, 1.0), 1.0)
-    return OrthonormalBasis(vectors=basis.vectors * phases[:, None])
+
+def bound1_rows(w: np.ndarray) -> np.ndarray:
+    """sqrt((1 - 1/d)(1 - sum_k w_k^2)) per row w = |<b_i|a'_k>|^2 over k."""
+    d = w.shape[-1]
+    return np.sqrt((1.0 - 1.0 / d) * np.clip(_calibration_rows(w), 0.0, None))
+
+
+def bound2_rows(m: np.ndarray) -> np.ndarray:
+    """max_j m_j sum_{k != j} m_k per row m = |<b_i|a'_k>| over k."""
+    return np.max(m * (np.sum(m, axis=-1, keepdims=True) - m), axis=-1)
+
+
+def frame_rows(m: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """m m^T - diag(w) per row w of W and m = sqrt(w) (both given, so W stays
+    exact): D_i in the A' frame rephased to make every <a'_k|b_i> >= 0."""
+    return m[..., :, None] * m[..., None, :] - w[..., None] * np.eye(w.shape[-1])
 
 
 def disturbance_matrix_in_frame(ap: OrthonormalBasis, b: OrthonormalBasis,
-                                i: int) -> np.ndarray:
-    """Disturbance matrix for outcome i expressed in the rephased A' frame.
-
-    After rephasing the entries are <a'_j|M|a'_k> = c_j c_k - delta_jk c_k^2
-    with c_k = <a'_k|b_i> >= 0, an entrywise non-negative matrix.
+                                i) -> np.ndarray:
+    """D_i in the rephased A' frame: entries c_j c_k - delta_jk c_k^2 with
+    c_k = |<a'_k|b_i>|, all non-negative.  For a batch of bases, ``i`` may
+    hold one outcome per basis, giving shape (n, d, d).
     """
-    rp = rephase_against(b.vectors[i], ap)
-    o = rp.vectors.conj() @ b.vectors[i]  # <a'_k|b_i>, real >= 0 after rephasing
-    return np.real(np.outer(o, o.conj()) - np.diag(np.abs(o) ** 2))
+    _require_same_dim(ap, b)
+    m = _overlaps(ap.vectors, b.vectors)
+    c = np.take_along_axis(m, np.expand_dims(i, (-2, -1)), axis=-2)[..., 0, :]
+    return frame_rows(c, c**2)
 
 
-def calibration_error(a: OrthonormalBasis, ap: OrthonormalBasis) -> float:
+def calibration_error(a: OrthonormalBasis, ap: OrthonormalBasis):
     """eps^c = max_i (1 - |<a'_i|a_i>|^2); satisfies eps = sqrt(eps^c)."""
     _require_same_dim(a, ap)
-    return float(np.max(_residual_norms(a.vectors, ap.vectors) ** 2))
+    return _scalar(np.max(_residual_norms(a.vectors, ap.vectors) ** 2, axis=-1))
 
 
-def calibration_disturbance(ap: OrthonormalBasis, b: OrthonormalBasis) -> float:
+def calibration_disturbance(ap: OrthonormalBasis, b: OrthonormalBasis):
     """eta^c = max_i (1 - sum_k |<a'_k|b_i>|^4)."""
     _require_same_dim(ap, b)
-    w = np.abs(b.gram(ap)) ** 2  # w[i, k] = |<b_i|a'_k>|^2
-    return float(np.max(1.0 - np.sum(w**2, axis=1)))
+    return _scalar(np.max(_calibration_rows(_overlaps(ap.vectors, b.vectors) ** 2), axis=-1))
 
 
-def disturbance_bound_1(ap: OrthonormalBasis, b: OrthonormalBasis) -> float:
+def disturbance_bound_1(ap: OrthonormalBasis, b: OrthonormalBasis):
     """max_i sqrt((1 - 1/d)(1 - sum_k |<a'_k|b_i>|^4))."""
     _require_same_dim(ap, b)
-    d = ap.dim
-    w = np.abs(b.gram(ap)) ** 2
-    return float(np.max(np.sqrt((1.0 - 1.0 / d) * np.clip(1.0 - np.sum(w**2, axis=1), 0.0, None))))
+    return _scalar(np.max(bound1_rows(_overlaps(ap.vectors, b.vectors) ** 2), axis=-1))
 
 
-def disturbance_bound_2(ap: OrthonormalBasis, b: OrthonormalBasis) -> float:
+def disturbance_bound_2(ap: OrthonormalBasis, b: OrthonormalBasis):
     """max_{i,j} |<a'_j|b_i>| sum_{k != j} |<a'_k|b_i>| (Frobenius column bound)."""
     _require_same_dim(ap, b)
-    m = np.abs(b.gram(ap))  # m[i, j] = |<b_i|a'_j>|
-    row_sums = np.sum(m, axis=1)
-    return float(np.max(m * (row_sums[:, None] - m)))
+    return _scalar(np.max(bound2_rows(_overlaps(ap.vectors, b.vectors)), axis=-1))
 
 
 def relaxed_error(a: OrthonormalBasis, b: OrthonormalBasis) -> RelaxedError:
@@ -327,7 +335,7 @@ def tradeoff_report(a: OrthonormalBasis, ap: OrthonormalBasis,
     eps = error(a, ap)
     eta = disturbance(ap, b)
     delta = overall_error(a, ap, b)
-    winning = (error_matrix(a, ap, delta.error_index)
+    winning = (error_matrices(a, ap)[delta.error_index]
                + delta.sign * disturbance_matrix(ap, b, delta.disturbance_index))
     w, v = linalg.eig_hermitian(winning)
     k = int(np.argmax(np.abs(w)))

@@ -82,6 +82,18 @@ class TestBasisFiles:
                         "--aprime", str(tmp_path / "b.json"),
                         "--b", str(tmp_path / "b.json")]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("d", [1, 17])
+    def test_dimension_outside_two_to_sixteen_is_usage_error(self, d, tmp_path, capsys):
+        path = write_basis(tmp_path / "b.json", computational_basis(d))
+        assert cli.run(["compute", "--a", path, "--aprime", path, "--b", path]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "dim must be in [2, 16]" in err
+        # the dimension is checked before the vectors are read
+        (tmp_path / "c.json").write_text(json.dumps({"dim": d, "vectors": "unread"}))
+        assert cli.run(["compute", "--a", str(tmp_path / "c.json"), "--aprime", path,
+                        "--b", path]) == cli.EXIT_USAGE
+        assert "dim must be in [2, 16]" in capsys.readouterr().err
+
 
 class TestCompute:
     def test_report_fields_and_exit_code(self, triple_files, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtradeoff import explorer, metrics, structures
+from qtradeoff import explorer, linalg, metrics, structures
 from qtradeoff.errors import UnsupportedSizeError, ValidationError
 from qtradeoff.measurement import OrthonormalBasis, computational_basis, haar_random_basis
 
@@ -52,6 +52,33 @@ def per_trial_conjecture(d, trials, seed, tol):
     return explorer.ConjectureRun(dim=d, trials=trials, seed=seed, min_slack_sum=min_sum,
                                   min_slack_delta=min_delta, violations=violations,
                                   argmin_distance_to_a=dist_a, argmin_distance_to_b=dist_b)
+
+
+def per_trial_property_checks(d, trials, seed, tol):
+    """Reference per-d property checks: one (A', B) pair at a time, and the
+    Perron-Frobenius eigenvalue compared with its own spectral radius."""
+    worst = [-math.inf] * 8
+    for t in range(trials):
+        ap = haar_random_basis(d, seed, d, t, 0)
+        b = haar_random_basis(d, seed, d, t, 1)
+        eps = metrics.error(ap, b).value
+        eta, i = metrics.disturbance(ap, b)
+        frame = metrics.disturbance_matrix_in_frame(ap, b, i)
+        r = linalg.spectral_radius(metrics.disturbance_matrix(ap, b, i))
+        slacks = (eps - 1.0, eta - (1.0 - 1.0 / d),
+                  eta - metrics.disturbance_bound_1(ap, b),
+                  eta - metrics.disturbance_bound_2(ap, b),
+                  eta - math.sqrt((1.0 - 1.0 / d) * metrics.calibration_disturbance(ap, b)),
+                  abs(eps - math.sqrt(metrics.calibration_error(ap, b))),
+                  float(-np.min(frame)),
+                  abs(linalg.eigvals_hermitian(frame)[-1] - r))
+        worst = [max(w, x) for w, x in zip(worst, slacks)]
+    names = ("property1_error_bound", "property1_disturbance_bound", "property4_bound1",
+             "property4_bound2", "property4_geometric_mean", "calibration_error_identity",
+             "perron_frobenius_entries", "perron_frobenius_top_eigenvalue")
+    bounds = (1e-12, tol, tol, tol, tol, tol, 1e-12, 1e-10)
+    return [(f"{name}_d{d}", bool(w <= bound), f"worst slack {w:.3e}")
+            for name, w, bound in zip(names, worst, bounds)]
 
 
 def per_trial_theorem2(d, trials, seed, tol):
@@ -277,12 +304,30 @@ class TestTrialCounts:
         with pytest.raises(ValidationError, match="at least one trial"):
             explorer.verify_properties(trials=trials)
 
+    @pytest.mark.parametrize("dims", [(), (1,), (2, 17), (0, 3)])
+    def test_property_dims_must_be_non_empty_and_in_range(self, dims):
+        with pytest.raises(ValidationError, match="dims"):
+            explorer.verify_properties(dims=dims, trials=1)
+
 
 class TestVerifyProperties:
     def test_all_checks_pass(self):
         run = explorer.verify_properties(dims=(2, 3), trials=30, seed=0)
         failed = [c for c in run.checks if not c[1]]
         assert run.all_passed, failed
+
+    def test_blocks_match_the_per_trial_loop(self):
+        dims, trials, tol = (2, 3, 5), explorer._TRIAL_BLOCK + 3, 1e-9
+        run = explorer.verify_properties(dims=dims, trials=trials, seed=4, tol=tol)
+        reference = [c for d in dims for c in per_trial_property_checks(d, trials, 4, tol)]
+        blocked = run.checks[:len(reference)]
+        assert [c[:2] for c in blocked] == [c[:2] for c in reference]
+        for (name, _, got), (_, _, want) in zip(blocked, reference):
+            if name.startswith("perron_frobenius_top_eigenvalue"):
+                # one stacked eigensolve against a single one: round-off only
+                assert abs(float(got.split()[-1]) - float(want.split()[-1])) <= 1e-15
+            else:
+                assert got == want, name
 
 
 class TestDeterminism:

@@ -214,22 +214,30 @@ class TestBatchedMetrics:
 
     @staticmethod
     def each(a, ap, b):
-        return (metrics.error(a, ap), metrics.disturbance(ap, b),
-                metrics.overall_error(a, ap, b), metrics.relaxed_error(a, b),
-                metrics.conjecture_floor(a, b))
+        """Witness tuples, then plain values (the last is a frame matrix)."""
+        eta = metrics.disturbance(ap, b)
+        return ((metrics.error(a, ap), eta, metrics.overall_error(a, ap, b),
+                 metrics.relaxed_error(a, b)),
+                (metrics.conjecture_floor(a, b), metrics.calibration_error(a, ap),
+                 metrics.calibration_disturbance(ap, b), metrics.disturbance_bound_1(ap, b),
+                 metrics.disturbance_bound_2(ap, b),
+                 metrics.disturbance_matrix_in_frame(ap, b, eta.index)))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_batch_matches_each_basis(self, d):
         triples = self.triples(d)
         n = len(triples)
-        batched = self.each(*(stack_bases(col) for col in zip(*triples)))
-        assert batched[3].permutation.shape == (n, d)
-        assert batched[4].shape == (n,)
+        tuples, values = self.each(*(stack_bases(col) for col in zip(*triples)))
+        assert tuples[3].permutation.shape == (n, d)
+        assert [v.shape for v in values] == [(n,)] * 5 + [(n, d, d)]
         for k, triple in enumerate(triples):
-            single = self.each(*triple)
-            assert type(single[4]) is float
-            assert np.array_equal(batched[4][k], single[4])
-            for got, want in zip(batched[:4], single[:4]):
+            single_tuples, single_values = self.each(*triple)
+            for got, want in zip(values[:-1], single_values[:-1]):
+                assert type(want) is float
+                assert np.array_equal(got[k], want)
+            assert single_values[-1].shape == (d, d)
+            assert np.array_equal(values[-1][k], single_values[-1])
+            for got, want in zip(tuples, single_tuples):
                 assert type(got) is type(want)
                 for got_field, want_field in zip(got, want):
                     assert type(want_field) in (float, int, tuple)
@@ -255,33 +263,16 @@ class TestBatchedMetrics:
                          lambda: metrics.disturbance(x, y),
                          lambda: metrics.overall_error(x, x, y),
                          lambda: metrics.relaxed_error(x, y),
-                         lambda: metrics.conjecture_floor(x, y)):
+                         lambda: metrics.conjecture_floor(x, y),
+                         lambda: metrics.calibration_error(x, y),
+                         lambda: metrics.calibration_disturbance(x, y),
+                         lambda: metrics.disturbance_bound_1(x, y),
+                         lambda: metrics.disturbance_bound_2(x, y)):
                 with pytest.raises(ValidationError):
                     call()
 
 
 class TestRephasing:
-    def test_nonnegative_overlaps_unchanged(self):
-        basis = computational_basis(3)
-        target = np.array([0.6, 0.8, 0.0], dtype=complex)
-        out = metrics.rephase_against(target, basis)
-        assert np.array_equal(out.vectors, basis.vectors)
-
-    def test_overlaps_become_real_nonnegative(self):
-        basis = haar_random_basis(4, 6)
-        target = linalg.haar_unit_vector(4, 7)
-        out = metrics.rephase_against(target, basis)
-        overlaps = out.vectors @ target.conj()
-        assert np.max(np.abs(overlaps.imag)) < 1e-12
-        assert np.min(overlaps.real) > -1e-12
-
-    def test_disturbance_invariant_under_rephasing(self):
-        ap, b, _ = random_triple(3, 17)
-        rp = metrics.rephase_against(b.vectors[0], ap)
-        before = metrics.disturbance(ap, b).value
-        after = metrics.disturbance(rp, b).value
-        assert before == pytest.approx(after, abs=1e-12)
-
     def test_perron_frobenius_structure(self):
         for d in (2, 3, 4, 5):
             ap, b, _ = random_triple(d, 18 + d)
