@@ -57,28 +57,35 @@ def per_trial_conjecture(d, trials, seed, tol):
 def per_trial_property_checks(d, trials, seed, tol):
     """Reference per-d property checks: one (A', B) pair at a time, and the
     Perron-Frobenius eigenvalue compared with its own spectral radius."""
-    worst = [-math.inf] * 8
+    worst = [-math.inf] * 9
     for t in range(trials):
         ap = haar_random_basis(d, seed, d, t, 0)
         b = haar_random_basis(d, seed, d, t, 1)
         eps = metrics.error(ap, b).value
         eta, i = metrics.disturbance(ap, b)
         frame = metrics.disturbance_matrix_in_frame(ap, b, i)
-        r = linalg.spectral_radius(metrics.disturbance_matrix(ap, b, i))
+        spectrum = linalg.eigvals_hermitian(frame)
+        d_i = metrics.disturbance_matrix(ap, b, i)
         slacks = (eps - 1.0, eta - (1.0 - 1.0 / d),
                   eta - metrics.disturbance_bound_1(ap, b),
                   eta - metrics.disturbance_bound_2(ap, b),
                   eta - math.sqrt((1.0 - 1.0 / d) * metrics.calibration_disturbance(ap, b)),
                   abs(eps - math.sqrt(metrics.calibration_error(ap, b))),
                   float(-np.min(frame)),
-                  abs(linalg.eigvals_hermitian(frame)[-1] - r))
+                  float(np.max(np.abs(spectrum - linalg.eigvals_hermitian(d_i)))),
+                  abs(spectrum[-1] - linalg.spectral_radius(d_i)))
         worst = [max(w, x) for w, x in zip(worst, slacks)]
     names = ("property1_error_bound", "property1_disturbance_bound", "property4_bound1",
-             "property4_bound2", "property4_geometric_mean", "calibration_error_identity",
-             "perron_frobenius_entries", "perron_frobenius_top_eigenvalue")
-    bounds = (1e-12, tol, tol, tol, tol, tol, 1e-12, 1e-10)
-    return [(f"{name}_d{d}", bool(w <= bound), f"worst slack {w:.3e}")
-            for name, w, bound in zip(names, worst, bounds)]
+             "property4_bound2", "property4_geometric_mean", "calibration_error_identity")
+    bounds = (1e-12, tol, tol, tol, tol, tol)
+    checks = [(f"{name}_d{d}", bool(w <= bound), f"worst slack {w:.3e}")
+              for name, w, bound in zip(names, worst, bounds)]
+    entries = max(worst[6], worst[7])
+    checks.append((f"perron_frobenius_entries_d{d}", worst[6] <= 1e-12 and worst[7] <= 1e-10,
+                   f"worst slack {entries:.3e}"))
+    checks.append((f"perron_frobenius_top_eigenvalue_d{d}", bool(worst[8] <= 1e-10),
+                   f"worst slack {worst[8]:.3e}"))
+    return checks
 
 
 def per_trial_theorem2(d, trials, seed, tol):
@@ -191,6 +198,13 @@ class TestLocalSearch:
             assert np.allclose(g @ inverse, eye, atol=1e-15)
             assert not np.allclose(g, eye)
 
+    def test_moves_are_cached_and_read_only(self):
+        moves = explorer._unitary_moves(3, 0.2 / 8)
+        assert explorer._unitary_moves(3, 0.2 / 8) is moves
+        assert not moves.flags.writeable
+        with pytest.raises(ValueError):
+            moves[0, 0, 0] = 0.0
+
     @pytest.mark.parametrize("d", [3, 4])
     def test_batched_sweeps_follow_the_scalar_path(self, d):
         a = haar_random_basis(d, 60, 0)
@@ -198,9 +212,27 @@ class TestLocalSearch:
         start = haar_random_basis(d, 60, 2)
         v, best, accepted = scalar_gauss_seidel(a, b, start, iters=80)
         assert accepted > 10
-        basis, value = explorer._local_search(a, b, start, 80)
+        [(basis, value)] = explorer._local_search(a, b, [start], 80)
         assert np.max(np.abs(basis.vectors - v)) <= 1e-12
         assert abs(value - best) <= 1e-12
+
+    @pytest.mark.parametrize("d, iters", [(3, 80), (4, 60), (3, 0), (3, 1), (4, 1)])
+    def test_lockstep_starts_each_follow_the_scalar_path(self, d, iters):
+        a = haar_random_basis(d, 61, 0)
+        b = haar_random_basis(d, 61, 1)
+        perm = list(metrics.relaxed_error(a, b).permutation)
+        starts = [a, OrthonormalBasis(vectors=b.vectors[perm].copy()),
+                  haar_random_basis(d, 61, 2), haar_random_basis(d, 61, 3)]
+        results = explorer._local_search(a, b, starts, iters)
+        assert len(results) == len(starts)
+        for k, (start, (basis, value)) in enumerate(zip(starts, results)):
+            v, best, accepted = scalar_gauss_seidel(a, b, start, iters)
+            if k >= 2 and iters:
+                assert accepted > 0  # the Haar starts take moves
+            assert np.max(np.abs(basis.vectors - v)) <= 1e-12
+            assert abs(value - best) <= 1e-12
+            if iters == 0:
+                assert np.array_equal(basis.vectors, start.vectors)
 
 
 class TestMinimizeOverIntermediate:
@@ -226,21 +258,43 @@ class TestMinimizeOverIntermediate:
         out = explorer.minimize_over_intermediate(a, b, restarts=4, seed=6, iters=80)
         assert out.min_sum >= metrics.conjecture_floor(a, b) - 1e-6
 
-    def test_one_local_search_per_restart(self, monkeypatch):
+    @staticmethod
+    def spy_on_search(monkeypatch):
+        """Record the starts and results of every _local_search call."""
         calls = []
         search = explorer._local_search
 
-        def counted(*args):
-            calls.append(1)
-            return search(*args)
+        def spy(a, b, starts, iters):
+            results = search(a, b, starts, iters)
+            calls.append((starts, results))
+            return results
 
-        monkeypatch.setattr(explorer, "_local_search", counted)
+        monkeypatch.setattr(explorer, "_local_search", spy)
+        return calls
+
+    def test_search_gets_one_start_per_restart(self, monkeypatch):
+        calls = self.spy_on_search(monkeypatch)
         a = haar_random_basis(2, 8)
         b = haar_random_basis(2, 9)
         for restarts in (1, 3):
             calls.clear()
             explorer.minimize_over_intermediate(a, b, restarts=restarts, seed=0, iters=5)
-            assert len(calls) == restarts
+            [(starts, results)] = calls
+            assert len(starts) == len(results) == restarts
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_haar_starts_avoid_the_random_pair(self, monkeypatch, d):
+        # the CLI draws a random A and B from sub-streams (seed, 0) and (seed, 1)
+        calls = self.spy_on_search(monkeypatch)
+        a = haar_random_basis(d, 7, 0)
+        b = haar_random_basis(d, 7, 1)
+        explorer.minimize_over_intermediate(a, b, restarts=6, seed=7, iters=2)
+        [(starts, _)] = calls
+        assert starts[0] is a
+        for r, start in enumerate(starts[2:], start=2):
+            assert start == haar_random_basis(d, 7, r)
+            for pair in (a, b):
+                assert not np.allclose(start.vectors, pair.vectors)
 
     def test_oversize_rejected(self):
         a = haar_random_basis(6, 7)
@@ -328,6 +382,20 @@ class TestVerifyProperties:
                 assert abs(float(got.split()[-1]) - float(want.split()[-1])) <= 1e-15
             else:
                 assert got == want, name
+
+
+    def test_frame_from_the_wrong_outcome_row_fails(self, monkeypatch):
+        in_frame = metrics.disturbance_matrix_in_frame
+
+        def wrong_row(ap, b, i):
+            return in_frame(ap, b, (i + 1) % ap.dim)
+
+        monkeypatch.setattr(metrics, "disturbance_matrix_in_frame", wrong_row)
+        # not d = 2: there D_1 = -D_0, whose spectrum {x, -x} is that of D_0
+        run = explorer.verify_properties(dims=(3, 4, 5), trials=20, seed=0)
+        entries = [c for c in run.checks if c[0].startswith("perron_frobenius_entries")]
+        assert len(entries) == 3
+        assert not any(ok for _, ok, _ in entries), entries
 
 
 class TestDeterminism:

@@ -319,6 +319,26 @@ class TestInvariance:
         triple[which] = OrthonormalBasis(vectors=v)
         assert np.max(np.abs(all_quantities(*triple, psi) - before)) <= 1e-12
 
+    @staticmethod
+    def labelled_quantities(a, ap, b):
+        """eps, eta, delta and the conjectured floor f."""
+        return np.array([metrics.error(a, ap).value, metrics.disturbance(ap, b).value,
+                         metrics.overall_error(a, ap, b).value,
+                         metrics.conjecture_floor(a, b)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+           order=st.permutations(range(5)), b_alone=st.booleans())
+    def test_relabelling_changes_nothing(self, d, seed, order, b_alone):
+        # relabel A and A' together (the error pairs a_i with a'_i), or B alone
+        perm = [k for k in order if k < d]
+        triple = list(random_triple(d, seed))
+        before = self.labelled_quantities(*triple)
+        for which in ((2,) if b_alone else (0, 1)):
+            triple[which] = OrthonormalBasis(vectors=triple[which].vectors[perm])
+        after = self.labelled_quantities(*triple)
+        assert np.max(np.abs(after - before)) <= 1e-12
+
 
 class TestOverallError:
     def test_reduces_to_disturbance_at_identity(self):
