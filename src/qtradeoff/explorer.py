@@ -30,6 +30,8 @@ _MAX_SEARCH_DIM = 5
 # one block (its overall-error stack holds 2 d^2 matrices per trial).
 _TRIAL_BLOCK = 256
 
+_STEP_FLOOR = 1e-8  # the A' search ends once its step halves below this
+
 
 @dataclass(frozen=True)
 class ScanTable:
@@ -143,15 +145,15 @@ def scan_bounds_d3(overlap1_sq: float, steps: int) -> ScanTable:
     return ScanTable(column_names=["overlap2_sq", "eta", "bound1", "bound2"], rows=rows)
 
 
-def _haar_blocks(d: int, seed: int, trials: int, *subs: tuple, prefix: tuple = ()):
-    """Blocks of at most _TRIAL_BLOCK trials, as (first trial, bases).
+def _haar_blocks(d: int, seed: int, trials: range, *subs: tuple, prefix: tuple = ()):
+    """Blocks of at most _TRIAL_BLOCK trials, as (first position, bases).
 
     ``bases`` holds one batch basis per sub-stream in ``subs``; entry i of
-    batch k equals ``haar_random_basis(d, seed, *prefix, first + i, *subs[k])``.
-    Each block makes one stacked Haar draw.
+    batch k equals ``haar_random_basis(d, seed, *prefix, trials[first + i],
+    *subs[k])``.  Each block makes one stacked Haar draw.
     """
-    for first in range(0, trials, _TRIAL_BLOCK):
-        ts = range(first, min(first + _TRIAL_BLOCK, trials))
+    for first in range(0, len(trials), _TRIAL_BLOCK):
+        ts = trials[first:first + _TRIAL_BLOCK]
         u = linalg.haar_unitaries(d, seed, [(*prefix, t, *sub) for t in ts for sub in subs])
         v = np.swapaxes(u, -1, -2).reshape(len(ts), len(subs), d, d)
         yield first, [OrthonormalBasis(vectors=v[:, k].copy()) for k in range(len(subs))]
@@ -169,7 +171,7 @@ def verify_theorem2(d: int, trials: int, seed: int,
     floor = 1.0 - 1.0 / d
     min_sum = np.inf
     violations: List[dict] = []
-    for first, (aps,) in _haar_blocks(d, seed, trials, ()):
+    for first, (aps,) in _haar_blocks(d, seed, range(trials), ()):
         total = metrics.error(a, aps).value + metrics.disturbance(aps, b).value
         min_sum = min(min_sum, float(np.min(total)))
         for i in np.flatnonzero(total < floor - tol):
@@ -206,14 +208,14 @@ def _unitary_moves(d: int, step: float) -> np.ndarray:
     return moves
 
 
-def _descent(v: np.ndarray, iters: int, step_floor: float):
+def _descent(v: np.ndarray, iters: int):
     """Gauss-Seidel descent of eps + eta over the geodesic moves from ``v``.
 
     Yields each stack to score (first ``v`` itself) and is sent its values.
     Each move of a sweep is tried from the current point in turn and taken
     if it lowers the sum: the moves still to try are one stack, the first
     that improves is taken and the ones after it are rescored from the new
-    point.  When a sweep takes no move the step halves.
+    point.  When a sweep takes no move the step halves, down to _STEP_FLOOR.
     """
     best = float((yield v[None])[0])
     step = 0.2
@@ -232,14 +234,14 @@ def _descent(v: np.ndarray, iters: int, step_floor: float):
             improved = True
         if not improved:
             step *= 0.5
-            if step < step_floor:
+            if step < _STEP_FLOOR:
                 break
     return OrthonormalBasis(vectors=v), best
 
 
 def _local_search(a: OrthonormalBasis, b: OrthonormalBasis,
-                  starts: List[OrthonormalBasis], iters: int,
-                  step_floor: float = 1e-8) -> List[Tuple[OrthonormalBasis, float]]:
+                  starts: List[OrthonormalBasis],
+                  iters: int) -> List[Tuple[OrthonormalBasis, float]]:
     """One :func:`_descent` per start, run in lockstep rounds.
 
     Each round scores the stacks of every unfinished descent with one call
@@ -249,7 +251,7 @@ def _local_search(a: OrthonormalBasis, b: OrthonormalBasis,
     def objective(stack: np.ndarray) -> np.ndarray:
         return metrics.error_values(a, stack) + metrics.disturbance_values(stack, b)
 
-    descents = [_descent(s.vectors.copy(), iters, step_floor) for s in starts]
+    descents = [_descent(s.vectors.copy(), iters) for s in starts]
     results: list = [None] * len(starts)
     sends = dict.fromkeys(range(len(starts)))
     while True:
@@ -316,7 +318,7 @@ def conjecture_search(d: int, trials: int, seed: int,
     min_slack_delta = np.inf
     violations: List[dict] = []
     argmin = None
-    for first, (a, ap, b) in _haar_blocks(d, seed, trials, (0,), (1,), (2,)):
+    for first, (a, ap, b) in _haar_blocks(d, seed, range(trials), (0,), (1,), (2,)):
         eps = metrics.error(a, ap).value
         eta = metrics.disturbance(ap, b).value
         delta = metrics.overall_error(a, ap, b).value
@@ -360,9 +362,6 @@ def verify_properties(dims=(2, 3, 4, 5), trials: int = 100, seed: int = 0,
         raise ValidationError(f"need at least one trial, got {trials}")
     checks: List[Tuple[str, bool, str]] = []
 
-    def record(name: str, worst: float, bound: float) -> None:
-        checks.append((name, bool(worst <= bound), f"worst slack {worst:.3e}"))
-
     # A name listed twice is one check over two slacks: the Perron-Frobenius
     # frame is non-negative and, being unitarily similar to D_i, isospectral.
     names = ("property1_error_bound", "property1_disturbance_bound", "property4_bound1",
@@ -372,7 +371,7 @@ def verify_properties(dims=(2, 3, 4, 5), trials: int = 100, seed: int = 0,
     bounds = np.array([1e-12, tol, tol, tol, tol, tol, 1e-12, 1e-10, 1e-10])
     for d in dims:
         worst = np.full(len(names), -np.inf)
-        for _, (ap, b) in _haar_blocks(d, seed, trials, (0,), (1,), prefix=(d,)):
+        for _, (ap, b) in _haar_blocks(d, seed, range(trials), (0,), (1,), prefix=(d,)):
             eps = metrics.error(ap, b).value
             eta, i = metrics.disturbance(ap, b)
             frame = metrics.disturbance_matrix_in_frame(ap, b, i)
@@ -407,30 +406,24 @@ def verify_properties(dims=(2, 3, 4, 5), trials: int = 100, seed: int = 0,
         ok = bool(abs(metrics.disturbance(a, f).value - (1.0 - 1.0 / d)) <= tol)
         checks.append((f"property1_disturbance_equality_d{d}", ok, "unbiased basis pair"))
 
-    # Property 2: direct sums take the max over blocks.
-    worst = -np.inf
-    for t in range(trials):
-        blocks = [tuple(haar_random_basis(2, seed, 100 + t, k, w) for w in range(3))
-                  for k in range(2)]
-        asm = structures.direct_sum(blocks)
-        block_eps = max(metrics.error(bl[0], bl[1]).value for bl in blocks)
-        block_eta = max(metrics.disturbance(bl[1], bl[2]).value for bl in blocks)
-        worst = max(worst,
-                    abs(metrics.error(asm[0], asm[1]).value - block_eps),
-                    abs(metrics.disturbance(asm[1], asm[2]).value - block_eta))
-    record("property2_reducibility", worst, 1e-12)
-
-    # Property 3: tensor products dominate each factor.
-    worst = -np.inf
-    for t in range(trials):
-        factors = [tuple(haar_random_basis(2, seed, 200 + t, k, w) for w in range(3))
-                   for k in range(2)]
-        asm = structures.tensor_product(factors)
-        f_eps = max(metrics.error(fa[0], fa[1]).value for fa in factors)
-        f_eta = max(metrics.disturbance(fa[1], fa[2]).value for fa in factors)
-        worst = max(worst,
-                    f_eps - metrics.error(asm[0], asm[1]).value,
-                    f_eta - metrics.disturbance(asm[1], asm[2]).value)
-    record("property3_subsystems", worst, tol)
+    # Property 2: direct sums take the max of eps and eta over their blocks.
+    # Property 3: tensor products dominate each factor.  Trial t draws basis
+    # w of qubit triple k from sub-stream (100 + t, k, w), resp. (200 + t, k, w).
+    laws = (("property2_reducibility", 100, structures.direct_sum, 1e-12,
+             lambda whole, part: np.abs(whole - part)),
+            ("property3_subsystems", 200, structures.tensor_product, tol,
+             lambda whole, part: part - whole))
+    subs = [(k, w) for k in range(2) for w in range(3)]
+    for name, offset, assemble, bound, slack in laws:
+        worst = -np.inf
+        for _, bases in _haar_blocks(2, seed, range(offset, offset + trials), *subs):
+            parts = (bases[:3], bases[3:])
+            asm = assemble(parts)
+            part_eps = np.maximum(*(metrics.error(p[0], p[1]).value for p in parts))
+            part_eta = np.maximum(*(metrics.disturbance(p[1], p[2]).value for p in parts))
+            worst = max(worst,
+                        np.max(slack(metrics.error(asm[0], asm[1]).value, part_eps)),
+                        np.max(slack(metrics.disturbance(asm[1], asm[2]).value, part_eta)))
+        checks.append((name, bool(worst <= bound), f"worst slack {worst:.3e}"))
 
     return PropertyRun(checks=checks)

@@ -27,15 +27,15 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *[int(s) for s in stream]])
 
 
-def check_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
+def check_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate hermiticity of ``m`` (or of each matrix in a stack) and
     return its symmetrized copy.
 
     Raises
     ------
     ValidationError
-        If some entry of ``m - m^dagger`` exceeds ``tol`` in modulus or is
-        not finite; the message names the offending entry.
+        If some entry of ``m - m^dagger`` exceeds ``VALIDATION_TOL`` in
+        modulus or is not finite; the message names the offending entry.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -43,7 +43,7 @@ def check_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
     mh = np.swapaxes(m, -1, -2).conj()
     dev = np.abs(m - mh)
     idx = np.unravel_index(np.argmax(dev), dev.shape)
-    if not dev[idx] <= tol:
+    if not dev[idx] <= VALIDATION_TOL:
         *batch, i, j = idx
         at = "".join(f"{k}," for k in batch)
         raise ValidationError(
@@ -52,23 +52,23 @@ def check_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
     return 0.5 * (m + mh)
 
 
-def eig_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL):
+def eig_hermitian(m: np.ndarray):
     """``(eigenvalues, eigenvectors)`` of Hermitian matrices.
 
     Eigenvalues are ascending; column ``k`` of the eigenvectors is the unit
     eigenvector for eigenvalue ``k``.
     """
-    return np.linalg.eigh(check_hermitian(m, tol))
+    return np.linalg.eigh(check_hermitian(m))
 
 
-def eigvals_hermitian(m: np.ndarray, tol: float = VALIDATION_TOL) -> np.ndarray:
+def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
     """Eigenvalues only, ascending along the last axis."""
-    return np.linalg.eigvalsh(check_hermitian(m, tol))
+    return np.linalg.eigvalsh(check_hermitian(m))
 
 
-def spectral_radius(m: np.ndarray, tol: float = VALIDATION_TOL):
+def spectral_radius(m: np.ndarray):
     """max_k |lambda_k|: a float for one matrix, an array for a stack."""
-    r = np.max(np.abs(eigvals_hermitian(m, tol)), axis=-1)
+    r = np.max(np.abs(eigvals_hermitian(m)), axis=-1)
     return float(r) if r.ndim == 0 else r
 
 

@@ -42,22 +42,25 @@ class OrthonormalBasis:
 def make_basis(vectors, tol: float = VALIDATION_TOL) -> OrthonormalBasis:
     """Validate orthonormality and wrap; never silently re-orthonormalizes.
 
+    Takes one basis of shape (d, d) or a batch of shape (..., d, d).
+
     Raises
     ------
     ValidationError
-        Naming the first offending pair of indices (i, j); i == j means a
-        norm failure.  Non-finite entries fail too.
+        Naming the worst pair of indices (i, j), the first if several tie;
+        i == j means a norm failure.  For a batch the message also names the
+        batch index of that pair.  Non-finite entries fail too.
     """
     v = np.asarray(vectors, dtype=np.complex128)
-    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 1:
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2] or v.size == 0:
         raise ValidationError(f"expected d x d vectors, got shape {v.shape}")
-    g = v.conj() @ v.T
-    dev = np.abs(g - np.eye(v.shape[0]))
-    i, j = np.unravel_index(np.argmax(dev), dev.shape)
-    if not dev[i, j] <= tol:
+    dev = np.abs(v.conj() @ np.swapaxes(v, -1, -2) - np.eye(v.shape[-1]))
+    *batch, i, j = idx = np.unravel_index(np.argmax(dev), dev.shape)
+    if not dev[idx] <= tol:
+        where = f" of basis {','.join(map(str, batch))}" if batch else ""
         raise ValidationError(
-            f"vectors are not orthonormal: |<v{i}|v{j}> - delta| = {dev[i, j]:.3e} "
-            f"(indices {i}, {j})"
+            f"vectors are not orthonormal: |<v{i}|v{j}> - delta| = {dev[idx]:.3e} "
+            f"(indices {i}, {j}{where})"
         )
     return OrthonormalBasis(vectors=v)
 
@@ -69,6 +72,8 @@ def gram_schmidt_repair(vectors, tol: float = FILE_INPUT_TOL) -> OrthonormalBasi
     error, not a candidate for silent fixing.
     """
     v = np.asarray(vectors, dtype=np.complex128).copy()
+    if v.ndim != 2:
+        raise ValidationError(f"expected d x d vectors, got shape {v.shape}")
     make_basis(v, tol=tol)  # reject anything beyond the repairable range
     for i in range(v.shape[0]):
         for j in range(i):

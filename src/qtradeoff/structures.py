@@ -30,57 +30,57 @@ def fourier_basis(d: int) -> OrthonormalBasis:
     return make_basis(np.exp(2j * np.pi * j * k / d) / np.sqrt(d))
 
 
+def _triple_dims(triples: Sequence[BasisTriple], op: str, kind: str):
+    """Dimension of each triple and the batch shape all their bases share.
+
+    Raises ValidationError naming the first malformed ``kind`` of ``op``.
+    """
+    if not triples:
+        raise ValidationError(f"{op} needs at least one {kind}")
+    for t, triple in enumerate(triples):
+        if len(triple) != 3:
+            raise ValidationError(f"{kind} {t} is not a triple of bases")
+        if len({x.dim for x in triple}) != 1:
+            raise ValidationError(f"{kind} {t} has mismatched dimensions")
+    shapes = {x.vectors.shape[:-2] for triple in triples for x in triple}
+    if len(shapes) != 1:
+        raise ValidationError(f"{op} needs one batch shape, got {sorted(shapes)}")
+    return [triple[0].dim for triple in triples], shapes.pop()
+
+
 def direct_sum(blocks: Sequence[BasisTriple]) -> BasisTriple:
     """Assemble block triples into one triple on the direct-sum space.
 
     Outcome labels are concatenated in block order, so outcome ``i`` of block
     ``k`` keeps its per-block correspondence.  Blocks of dimension 1 are
-    allowed as trivial summands.
+    allowed as trivial summands.  Batch bases of one shared batch shape give
+    the batch of direct sums.
     """
-    if not blocks:
-        raise ValidationError("direct sum needs at least one block")
-    dims = []
-    for t, triple in enumerate(blocks):
-        if len(triple) != 3:
-            raise ValidationError(f"block {t} is not a triple of bases")
-        d = triple[0].dim
-        if any(x.dim != d for x in triple):
-            raise ValidationError(f"block {t} has mismatched dimensions")
-        dims.append(d)
+    dims, batch = _triple_dims(blocks, "direct sum", "block")
     total = sum(dims)
-    out = []
-    for which in range(3):
-        vectors = np.zeros((total, total), dtype=np.complex128)
-        offset = 0
-        for d, triple in zip(dims, blocks):
-            vectors[offset:offset + d, offset:offset + d] = triple[which].vectors
-            offset += d
-        out.append(make_basis(vectors))
-    return tuple(out)
+    vectors = np.zeros((3, *batch, total, total), dtype=np.complex128)
+    for d, end, triple in zip(dims, np.cumsum(dims), blocks):
+        vectors[..., end - d:end, end - d:end] = [x.vectors for x in triple]
+    return tuple(make_basis(v) for v in vectors)
 
 
 def tensor_product(factors: Sequence[BasisTriple]) -> BasisTriple:
     """Kronecker-product triple with lexicographic outcome ordering.
 
     Composite outcome (i, j) of a two-factor product maps to index
-    i * d2 + j (zero-based), matching ``np.kron`` of the factor vectors.
+    i * d2 + j (zero-based), matching ``np.kron`` of the factor vectors
+    entry for entry.  Batch bases of one shared batch shape give the batch
+    of products.
     """
-    if not factors:
-        raise ValidationError("tensor product needs at least one factor")
-    total = 1
-    for t, triple in enumerate(factors):
-        if len(triple) != 3:
-            raise ValidationError(f"factor {t} is not a triple of bases")
-        d = triple[0].dim
-        if any(x.dim != d for x in triple):
-            raise ValidationError(f"factor {t} has mismatched dimensions")
-        total *= d
+    dims, batch = _triple_dims(factors, "tensor product", "factor")
+    total = int(np.prod(dims))
     if not 2 <= total <= MAX_DIM:
         raise UnsupportedSizeError(f"total dimension {total} outside [2, {MAX_DIM}]")
-    out = []
-    for which in range(3):
-        vectors = np.array([[1.0 + 0j]])
-        for triple in factors:
-            vectors = np.kron(vectors, triple[which].vectors)
-        out.append(make_basis(vectors))
-    return tuple(out)
+    vectors = np.ones((3, *batch, 1, 1), dtype=np.complex128)
+    for triple in factors:
+        y = np.stack([x.vectors for x in triple])
+        # entry (i d2 + k, j d2 + l) is x_ij y_kl, the one product np.kron forms
+        prod = vectors[..., :, None, :, None] * y[..., None, :, None, :]
+        n = prod.shape[-4] * prod.shape[-3]
+        vectors = prod.reshape(*prod.shape[:-4], n, n)
+    return tuple(make_basis(v) for v in vectors)

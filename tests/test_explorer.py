@@ -8,7 +8,7 @@ from qtradeoff.errors import UnsupportedSizeError, ValidationError
 from qtradeoff.measurement import OrthonormalBasis, computational_basis, haar_random_basis
 
 
-def scalar_gauss_seidel(a, b, start, iters, step_floor=1e-8):
+def scalar_gauss_seidel(a, b, start, iters):
     """Reference search: every move scored on its own, in sweep order."""
     def objective(vectors):
         ap = OrthonormalBasis(vectors=vectors)
@@ -27,7 +27,7 @@ def scalar_gauss_seidel(a, b, start, iters, step_floor=1e-8):
                 accepted += 1
         if not improved:
             step *= 0.5
-            if step < step_floor:
+            if step < explorer._STEP_FLOOR:
                 break
     return v, best, accepted
 
@@ -54,7 +54,7 @@ def per_trial_conjecture(d, trials, seed, tol):
                                   argmin_distance_to_a=dist_a, argmin_distance_to_b=dist_b)
 
 
-def per_trial_property_checks(d, trials, seed, tol):
+def per_d_property_checks(d, trials, seed, tol):
     """Reference per-d property checks: one (A', B) pair at a time, and the
     Perron-Frobenius eigenvalue compared with its own spectral radius."""
     worst = [-math.inf] * 9
@@ -85,6 +85,44 @@ def per_trial_property_checks(d, trials, seed, tol):
                    f"worst slack {entries:.3e}"))
     checks.append((f"perron_frobenius_top_eigenvalue_d{d}", bool(worst[8] <= 1e-10),
                    f"worst slack {worst[8]:.3e}"))
+    return checks
+
+
+def per_trial_property_checks(dims, trials, seed, tol):
+    """Reference for every check of verify_properties: the per-d checks, the
+    Property 1 witnesses, then one direct sum and one tensor product of qubit
+    triples at a time."""
+    checks = [c for d in dims for c in per_d_property_checks(d, trials, seed, tol)]
+    comp = computational_basis(2)
+    flipped = OrthonormalBasis(vectors=comp.vectors[::-1].copy())
+    checks.append(("property1_error_equality",
+                   abs(metrics.error(comp, flipped).value - 1.0) <= tol, "orthogonal vector pair"))
+    for d in dims:
+        eta = metrics.disturbance(computational_basis(d), structures.fourier_basis(d)).value
+        checks.append((f"property1_disturbance_equality_d{d}", abs(eta - (1.0 - 1.0 / d)) <= tol,
+                       "unbiased basis pair"))
+    worst = -math.inf
+    for t in range(trials):
+        blocks = [tuple(haar_random_basis(2, seed, 100 + t, k, w) for w in range(3))
+                  for k in range(2)]
+        asm = structures.direct_sum(blocks)
+        block_eps = max(metrics.error(bl[0], bl[1]).value for bl in blocks)
+        block_eta = max(metrics.disturbance(bl[1], bl[2]).value for bl in blocks)
+        worst = max(worst,
+                    abs(metrics.error(asm[0], asm[1]).value - block_eps),
+                    abs(metrics.disturbance(asm[1], asm[2]).value - block_eta))
+    checks.append(("property2_reducibility", worst <= 1e-12, f"worst slack {worst:.3e}"))
+    worst = -math.inf
+    for t in range(trials):
+        factors = [tuple(haar_random_basis(2, seed, 200 + t, k, w) for w in range(3))
+                   for k in range(2)]
+        asm = structures.tensor_product(factors)
+        f_eps = max(metrics.error(fa[0], fa[1]).value for fa in factors)
+        f_eta = max(metrics.disturbance(fa[1], fa[2]).value for fa in factors)
+        worst = max(worst,
+                    f_eps - metrics.error(asm[0], asm[1]).value,
+                    f_eta - metrics.disturbance(asm[1], asm[2]).value)
+    checks.append(("property3_subsystems", worst <= tol, f"worst slack {worst:.3e}"))
     return checks
 
 
@@ -373,16 +411,22 @@ class TestVerifyProperties:
     def test_blocks_match_the_per_trial_loop(self):
         dims, trials, tol = (2, 3, 5), explorer._TRIAL_BLOCK + 3, 1e-9
         run = explorer.verify_properties(dims=dims, trials=trials, seed=4, tol=tol)
-        reference = [c for d in dims for c in per_trial_property_checks(d, trials, 4, tol)]
-        blocked = run.checks[:len(reference)]
-        assert [c[:2] for c in blocked] == [c[:2] for c in reference]
-        for (name, _, got), (_, _, want) in zip(blocked, reference):
+        reference = per_trial_property_checks(dims, trials, 4, tol)
+        assert [c[:2] for c in run.checks] == [c[:2] for c in reference]
+        for (name, _, got), (_, _, want) in zip(run.checks, reference):
             if name.startswith("perron_frobenius_top_eigenvalue"):
                 # one stacked eigensolve against a single one: round-off only
                 assert abs(float(got.split()[-1]) - float(want.split()[-1])) <= 1e-15
             else:
                 assert got == want, name
 
+    def test_qubit_frame_is_the_same_from_either_outcome_row(self):
+        # unitarity gives the other row's moduli c' = (c_1, c_0), and the frame
+        # c c^T - diag(c^2) is [[0, c_0 c_1], [c_0 c_1, 0]] from either row
+        for t in range(20):
+            ap, b = haar_random_basis(2, 12, t, 0), haar_random_basis(2, 12, t, 1)
+            rows = [metrics.disturbance_matrix_in_frame(ap, b, i) for i in (0, 1)]
+            assert np.max(np.abs(rows[0] - rows[1])) <= 1e-12
 
     def test_frame_from_the_wrong_outcome_row_fails(self, monkeypatch):
         in_frame = metrics.disturbance_matrix_in_frame
@@ -391,7 +435,8 @@ class TestVerifyProperties:
             return in_frame(ap, b, (i + 1) % ap.dim)
 
         monkeypatch.setattr(metrics, "disturbance_matrix_in_frame", wrong_row)
-        # not d = 2: there D_1 = -D_0, whose spectrum {x, -x} is that of D_0
+        # not d = 2: there the wrong row's frame is the right one (see
+        # test_qubit_frame_is_the_same_from_either_outcome_row), so no check can fail
         run = explorer.verify_properties(dims=(3, 4, 5), trials=20, seed=0)
         entries = [c for c in run.checks if c[0].startswith("perron_frobenius_entries")]
         assert len(entries) == 3

@@ -31,3 +31,30 @@ class TestBasisValidation:
         v[1] = [0.5, 1.0]
         with pytest.raises(ValidationError):
             gram_schmidt_repair(v)
+
+    def test_single_basis_message_names_the_pair_only(self):
+        v = np.eye(2, dtype=complex)
+        v[1, 1] = 2.0
+        with pytest.raises(ValidationError) as info:
+            make_basis(v)
+        assert str(info.value) == ("vectors are not orthonormal: |<v1|v1> - delta| = "
+                                   "3.000e+00 (indices 1, 1)")
+
+    def test_batch_message_names_the_bad_basis(self):
+        v = np.stack([haar_random_basis(3, 7, t).vectors for t in range(6)])
+        assert make_basis(v.reshape(2, 3, 3, 3)).vectors.shape == (2, 3, 3, 3)
+        v[4, 2] *= 1.5
+        with pytest.raises(ValidationError, match=r"\(indices 2, 2 of basis 4\)$"):
+            make_basis(v)
+        with pytest.raises(ValidationError, match=r"\(indices 2, 2 of basis 1,1\)$"):
+            make_basis(v.reshape(2, 3, 3, 3))
+
+    @pytest.mark.parametrize("shape", [(3,), (0, 2, 2), (2, 2, 3), (4, 0, 0)])
+    def test_batch_shapes_must_hold_square_bases(self, shape):
+        with pytest.raises(ValidationError, match="expected d x d vectors"):
+            make_basis(np.zeros(shape, dtype=complex))
+
+    def test_repair_takes_one_basis_only(self):
+        v = np.stack([np.eye(2, dtype=complex)] * 3)
+        with pytest.raises(ValidationError, match="expected d x d vectors"):
+            gram_schmidt_repair(v)

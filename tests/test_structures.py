@@ -2,12 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtradeoff import bloch, metrics, structures
 from qtradeoff.errors import UnsupportedSizeError, ValidationError
-from qtradeoff.measurement import computational_basis, haar_random_basis
+from qtradeoff.measurement import OrthonormalBasis, computational_basis, haar_random_basis
+from qtradeoff.tolerances import ASSERTION_TOL
 
 from conftest import random_triple
+
+
+def batch_triple(d, n, seed, k):
+    """(A, A', B) batches of n bases; basis w of entry t is drawn from
+    sub-stream (k, t, w).  Dimension 1 gives random phases."""
+    if d == 1:
+        phases = np.random.default_rng([seed, k]).uniform(0, 2 * np.pi, (3, n, 1, 1))
+        return tuple(OrthonormalBasis(vectors=np.exp(1j * p)) for p in phases)
+    return tuple(OrthonormalBasis(vectors=np.stack(
+        [haar_random_basis(d, seed, k, t, w).vectors for t in range(n)])) for w in range(3))
+
+
+def entry(triple, t):
+    """Triple of the single bases at batch index t."""
+    return tuple(OrthonormalBasis(vectors=x.vectors[t]) for x in triple)
 
 
 def qubit_pair_with_error(eps):
@@ -112,3 +130,71 @@ class TestTensorProduct:
         t3 = random_triple(3, 6)
         with pytest.raises(UnsupportedSizeError):
             structures.tensor_product([t3, t3, t3])
+
+
+class TestBatchConstruction:
+    @pytest.mark.parametrize("build, dims", [
+        (structures.direct_sum, (2, 3)), (structures.direct_sum, (1, 4, 2)),
+        (structures.tensor_product, (2, 3)), (structures.tensor_product, (2, 1, 2, 2))])
+    def test_batch_equals_per_basis_construction_bit_for_bit(self, build, dims):
+        parts = [batch_triple(d, 5, 11, k) for k, d in enumerate(dims)]
+        batch = build(parts)
+        for t in range(5):
+            single = build([entry(p, t) for p in parts])
+            for got, want in zip(batch, single):
+                assert got.vectors[t].tobytes() == want.vectors.tobytes()
+
+    def test_tensor_product_matches_kron_bit_for_bit(self):
+        parts = [random_triple(2, 21), random_triple(3, 22)]
+        for got, x, y in zip(structures.tensor_product(parts), *parts):
+            assert got.vectors.tobytes() == np.kron(x.vectors, y.vectors).tobytes()
+
+    @pytest.mark.parametrize("build", [structures.direct_sum, structures.tensor_product])
+    def test_mismatched_batch_shapes_rejected(self, build):
+        three, four = batch_triple(2, 3, 0, 0), batch_triple(2, 4, 0, 1)
+        single = random_triple(2, 0)
+        mixed = (three[0], three[1], four[2])
+        for parts in ([three, four], [three, single], [mixed]):
+            with pytest.raises(ValidationError, match="needs one batch shape"):
+                build(parts)
+
+    @pytest.mark.parametrize("build, op, kind", [
+        (structures.direct_sum, "direct sum", "block"),
+        (structures.tensor_product, "tensor product", "factor")])
+    def test_malformed_triples_name_the_part(self, build, op, kind):
+        a = computational_basis(2)
+        with pytest.raises(ValidationError, match=f"^{op} needs at least one {kind}$"):
+            build([])
+        with pytest.raises(ValidationError, match=f"^{kind} 1 is not a triple of bases$"):
+            build([(a, a, a), (a, a)])
+        with pytest.raises(ValidationError, match=f"^{kind} 0 has mismatched dimensions$"):
+            build([(a, a, computational_basis(3))])
+
+
+class TestCompositionLaws:
+    """Properties 2 and 3 on random batches of blocks of dimension 1-4."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.lists(st.integers(2, 4), min_size=1, max_size=4).filter(
+               lambda dims: sum(dims) <= 15),
+           at=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_direct_sum_takes_the_max_over_blocks(self, dims, at, seed):
+        dims = dims[:at] + [1] + dims[at:]  # a trivial one-dimensional summand
+        blocks = [batch_triple(d, 4, seed, k) for k, d in enumerate(dims)]
+        a, ap, b = structures.direct_sum(blocks)
+        eps = np.max([metrics.error(x[0], x[1]).value for x in blocks], axis=0)
+        eta = np.max([metrics.disturbance(x[1], x[2]).value for x in blocks], axis=0)
+        assert np.max(np.abs(metrics.error(a, ap).value - eps)) <= 1e-12
+        assert np.max(np.abs(metrics.disturbance(ap, b).value - eta)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+               lambda dims: 2 <= math.prod(dims) <= 16),
+           seed=st.integers(0, 2**32 - 1))
+    def test_tensor_product_dominates_each_factor(self, dims, seed):
+        factors = [batch_triple(d, 4, seed, k) for k, d in enumerate(dims)]
+        a, ap, b = structures.tensor_product(factors)
+        eps, eta = metrics.error(a, ap).value, metrics.disturbance(ap, b).value
+        for x in factors:
+            assert np.all(eps >= metrics.error(x[0], x[1]).value - ASSERTION_TOL)
+            assert np.all(eta >= metrics.disturbance(x[1], x[2]).value - ASSERTION_TOL)
