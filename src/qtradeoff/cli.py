@@ -43,15 +43,17 @@ def _complex_pairs(vec) -> list:
 def load_basis(path: str) -> OrthonormalBasis:
     """Read a basis file: {"dim": d, "vectors": [[[re, im], ...], ...]}.
 
-    ``dim`` must lie in [2, linalg.MAX_DIM]; it is checked before the vectors
-    are parsed.  Exactly orthonormal input is taken as is; input within the
-    file tolerance is Gram-Schmidt repaired; anything worse is rejected naming
-    the failing pair of indices.
+    ``dim`` must be a JSON integer in [2, linalg.MAX_DIM]; it is checked
+    before the vectors are parsed.  Exactly orthonormal input is taken as is;
+    input within the file tolerance is Gram-Schmidt repaired; anything worse
+    is rejected naming the failing pair of indices.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if type(dim) is not int:
+            raise TypeError(f"dim must be a JSON integer, got {dim!r}")
         if not 2 <= dim <= linalg.MAX_DIM:
             raise ValueError(f"dim must be in [2, {linalg.MAX_DIM}], got {dim}")
         raw = data["vectors"]
@@ -166,6 +168,8 @@ def _cmd_minimize_aprime(args) -> int:
         b = load_basis(args.b)
     else:
         dim = 3 if args.dim is None else args.dim
+        if not 2 <= dim <= linalg.MAX_DIM:
+            raise ValidationError(f"dimension must be in [2, {linalg.MAX_DIM}], got {dim}")
         a = haar_random_basis(dim, args.seed, 0)
         b = haar_random_basis(dim, args.seed, 1)
     result = explorer.minimize_over_intermediate(a, b, args.restarts, args.seed)
@@ -324,10 +328,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal failure, keep the exit-code contract

@@ -244,13 +244,12 @@ def _local_search(a: OrthonormalBasis, b: OrthonormalBasis,
                   iters: int) -> List[Tuple[OrthonormalBasis, float]]:
     """One :func:`_descent` per start, run in lockstep rounds.
 
-    Each round scores the stacks of every unfinished descent with one call
-    to each metric.  A stacked value does not depend on its place in the
-    stack, so each (basis, value) is that of the descent run alone.
+    Each round scores the stacks of every unfinished descent as one batch,
+    with one call to :func:`metrics.error` and one to
+    :func:`metrics.disturbance`.  A stacked value does not depend on its
+    place in the batch, so each (basis, value) is that of the descent run
+    alone.
     """
-    def objective(stack: np.ndarray) -> np.ndarray:
-        return metrics.error_values(a, stack) + metrics.disturbance_values(stack, b)
-
     descents = [_descent(s.vectors.copy(), iters) for s in starts]
     results: list = [None] * len(starts)
     sends = dict.fromkeys(range(len(starts)))
@@ -263,9 +262,12 @@ def _local_search(a: OrthonormalBasis, b: OrthonormalBasis,
                 results[k] = done.value
         if not stacks:
             return results
-        values = objective(np.concatenate(list(stacks.values())))
-        ends = np.cumsum([len(x) for x in stacks.values()])
-        sends = dict(zip(stacks, np.split(values, ends[:-1])))
+        batch = OrthonormalBasis(vectors=np.concatenate(list(stacks.values())))
+        values = metrics.error(a, batch).value + metrics.disturbance(batch, b).value
+        sends, start = {}, 0
+        for k, stack in stacks.items():
+            sends[k] = values[start:start + len(stack)]
+            start += len(stack)
 
 
 def minimize_over_intermediate(a: OrthonormalBasis, b: OrthonormalBasis,

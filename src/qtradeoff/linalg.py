@@ -42,9 +42,8 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expected square matrices, got shape {m.shape}")
     mh = np.swapaxes(m, -1, -2).conj()
     dev = np.abs(m - mh)
-    idx = np.unravel_index(np.argmax(dev), dev.shape)
-    if not dev[idx] <= VALIDATION_TOL:
-        *batch, i, j = idx
+    if not dev.max() <= VALIDATION_TOL:
+        *batch, i, j = idx = np.unravel_index(np.argmax(dev), dev.shape)
         at = "".join(f"{k}," for k in batch)
         raise ValidationError(
             f"matrix is not Hermitian: |m[{at}{i},{j}] - conj(m[{at}{j},{i}])| = {dev[idx]:.3e}"
@@ -68,7 +67,7 @@ def eigvals_hermitian(m: np.ndarray) -> np.ndarray:
 
 def spectral_radius(m: np.ndarray):
     """max_k |lambda_k|: a float for one matrix, an array for a stack."""
-    r = np.max(np.abs(eigvals_hermitian(m)), axis=-1)
+    r = np.abs(eigvals_hermitian(m)).max(axis=-1)
     return float(r) if r.ndim == 0 else r
 
 

@@ -60,10 +60,11 @@ class RelaxedError(NamedTuple):
 
 def _require_same_dim(*bases) -> None:
     """Equal dimensions, and equal batch shapes among the batched bases."""
-    dims = [x.dim for x in bases]
+    shapes = [x.vectors.shape for x in bases]
+    dims = [shape[-1] for shape in shapes]
     if len(set(dims)) > 1:
         raise ValidationError(f"dimension mismatch: {' vs '.join(map(str, dims))}")
-    batches = [shape for shape in dict.fromkeys(x.vectors.shape[:-2] for x in bases) if shape]
+    batches = [batch for batch in dict.fromkeys(shape[:-2] for shape in shapes) if batch]
     if len(batches) > 1:
         raise ValidationError(f"batch shape mismatch: {' vs '.join(map(str, batches))}")
 
@@ -76,9 +77,9 @@ def _scalar(x):
 def _witness(values: np.ndarray, axes: int = 1):
     """The maximum over the trailing ``axes`` axes of ``values`` and the lowest
     flat index (over those axes) within TIE_TOL of it."""
-    flat = values.reshape(values.shape[:values.ndim - axes] + (-1,))
-    top = np.max(flat, axis=-1)
-    index = np.argmax(flat >= top[..., None] - TIE_TOL, axis=-1)
+    flat = values if axes == 1 else values.reshape(values.shape[:values.ndim - axes] + (-1,))
+    top = flat.max(axis=-1)
+    index = (flat >= top[..., None] - TIE_TOL).argmax(axis=-1)
     return _scalar(top), _scalar(index)
 
 
@@ -131,13 +132,6 @@ def _overlaps(ap: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(b.conj() @ np.swapaxes(ap, -1, -2))
 
 
-def _disturbance_stacks(ap: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """D_i = |b_i><b_i| - sum_k |<b_i|a'_k>|^2 |a'_k><a'_k| for A' vectors of
-    shape (..., d, d): shape (..., d, d, d), outcome i before the matrix axes."""
-    w = _overlaps(ap, b) ** 2
-    return _projectors(b) - np.einsum("...ik,...kxy->...ixy", w, _projectors(ap))
-
-
 def _residual_norms(a: np.ndarray, ap: np.ndarray) -> np.ndarray:
     """|a'_i - <a_i|a'_i> a_i| = sqrt(1 - |<a'_i|a_i>|^2), capped at 1, for A'
     vectors of shape (..., d, d): shape (..., d).
@@ -150,14 +144,6 @@ def _residual_norms(a: np.ndarray, ap: np.ndarray) -> np.ndarray:
     return np.minimum(np.linalg.norm(residual, axis=-1), 1.0)
 
 
-def _check_stack(basis: OrthonormalBasis, aps) -> np.ndarray:
-    aps = np.asarray(aps, dtype=np.complex128)
-    if aps.ndim != 3 or aps.shape[1:] != basis.vectors.shape:
-        d = basis.dim
-        raise ValidationError(f"expected A' vectors of shape (n, {d}, {d}), got {aps.shape}")
-    return aps
-
-
 def error_matrices(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
     """Stack over i of |a_i><a_i| - |a'_i><a'_i|."""
     _require_same_dim(a, ap)
@@ -165,9 +151,11 @@ def error_matrices(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
 
 
 def disturbance_matrices(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
-    """Stack over i of |b_i><b_i| - sum_k |<b_i|a'_k>|^2 |a'_k><a'_k|."""
+    """Stack over i of |b_i><b_i| - sum_k |<b_i|a'_k>|^2 |a'_k><a'_k|: shape
+    (..., d, d, d), outcome i before the matrix axes."""
     _require_same_dim(ap, b)
-    return _disturbance_stacks(ap.vectors, b.vectors)
+    w = _overlaps(ap.vectors, b.vectors) ** 2
+    return _projectors(b.vectors) - np.einsum("...ik,...kxy->...ixy", w, _projectors(ap.vectors))
 
 
 def disturbance_matrix(ap: OrthonormalBasis, b: OrthonormalBasis, i: int) -> np.ndarray:
@@ -184,20 +172,6 @@ def error(a: OrthonormalBasis, ap: OrthonormalBasis) -> WitnessValue:
 def disturbance(ap: OrthonormalBasis, b: OrthonormalBasis) -> WitnessValue:
     """eta = max_i R(disturbance_matrix(ap, b, i)) with the maximizing outcome."""
     return WitnessValue(*_witness(linalg.spectral_radius(disturbance_matrices(ap, b))))
-
-
-def error_values(a: OrthonormalBasis, aps) -> np.ndarray:
-    """eps(A, A') for each A' in a stack of basis vectors of shape (n, d, d)."""
-    return np.max(_residual_norms(a.vectors, _check_stack(a, aps)), axis=-1)
-
-
-def disturbance_values(aps, b: OrthonormalBasis) -> np.ndarray:
-    """eta(A', B) for each A' in a stack of basis vectors of shape (n, d, d).
-
-    All n d disturbance matrices go to one stacked spectral-radius call.
-    """
-    d_stack = _disturbance_stacks(_check_stack(b, aps), b.vectors)
-    return np.max(linalg.spectral_radius(d_stack), axis=-1)
 
 
 def overall_error(a: OrthonormalBasis, ap: OrthonormalBasis,

@@ -95,6 +95,16 @@ class TestBasisFiles:
         assert "dim must be in [2, 16]" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("dim", [2.9, "2", True])
+    def test_dimension_must_be_a_json_integer(self, dim, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({**cli.dump_basis(computational_basis(2)), "dim": dim}))
+        assert cli.run(["compute", "--a", str(path), "--aprime", str(path),
+                        "--b", str(path)]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "dim must be a JSON integer" in err
+
+
 class TestCompute:
     def test_report_fields_and_exit_code(self, triple_files, tmp_path, capsys):
         a, ap, b = triple_files
@@ -283,6 +293,19 @@ class TestMinimizeAprime:
     def test_default_dimension_is_three(self, capsys):
         assert cli.run(["minimize-aprime", "--restarts", "1"]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["best_basis"]["dim"] == 3
+
+    @pytest.mark.parametrize("dim", ["1", "17", "1000000000"])
+    def test_dimension_is_checked_before_drawing(self, dim, monkeypatch, capsys):
+        drawn = []
+
+        def spy(*args):
+            drawn.append(args)
+            raise AssertionError("drew a basis")
+        monkeypatch.setattr(cli, "haar_random_basis", spy)
+        assert cli.run(["minimize-aprime", "--dim", dim]) == cli.EXIT_USAGE
+        assert drawn == []
+        out, err = capsys.readouterr()
+        assert out == "" and "dimension must be in [2, 16]" in err
 
     def test_one_basis_file_alone_is_usage_error(self, tmp_path, capsys):
         a = write_basis(tmp_path / "a.json", computational_basis(2))

@@ -272,6 +272,54 @@ class TestLocalSearch:
             if iters == 0:
                 assert np.array_equal(basis.vectors, start.vectors)
 
+    def test_one_call_to_each_metric_per_round(self, monkeypatch):
+        """Each round's stacks, one per unfinished descent, are scored as one
+        batch by one metrics.error and then one metrics.disturbance call."""
+        log, made = [], []
+        descent = explorer._descent
+
+        def logged_descent(v, iters):
+            k, gen, vals = len(made), descent(v, iters), None
+            made.append(k)
+            try:
+                while True:
+                    stack = gen.send(vals)
+                    log.append(("stack", k, len(stack)))
+                    vals = yield stack
+            except StopIteration as done:
+                return done.value
+
+        def spy(name, batched):
+            real = getattr(metrics, name)
+
+            def call(*bases):
+                log.append((name, len(bases[batched].vectors)))
+                return real(*bases)
+            monkeypatch.setattr(metrics, name, call)
+
+        monkeypatch.setattr(explorer, "_descent", logged_descent)
+        spy("error", 1)
+        spy("disturbance", 0)
+        a = haar_random_basis(3, 62, 0)
+        b = haar_random_basis(3, 62, 1)
+        explorer._local_search(a, b, [a, b, haar_random_basis(3, 62, 2)], 4)
+        rounds, pending = [], []
+        for event in log:
+            if event[0] == "stack":
+                pending.append(event[1:])
+            elif event[0] == "error":
+                rounds.append((pending, event[1]))
+                pending = []
+            else:
+                assert event == ("disturbance", rounds[-1][1])
+        assert not pending
+        assert [e[0] for e in log if e[0] != "stack"] == ["error", "disturbance"] * len(rounds)
+        assert rounds[0] == ([(0, 1), (1, 1), (2, 1)], 3)
+        assert len(rounds) > 3
+        for stacks, n in rounds:
+            assert len({k for k, _ in stacks}) == len(stacks)
+            assert n == sum(size for _, size in stacks)
+
 
 class TestMinimizeOverIntermediate:
     def test_qubit_reaches_cross_product_floor(self):

@@ -171,31 +171,8 @@ class TestStackedEigensolves:
         metrics.overall_error(a, ap, b)
         assert shapes == [(3, 3, 2, 3, 3)]
         shapes.clear()
-        stack = np.stack([haar_random_basis(3, 46, k).vectors for k in range(5)])
-        metrics.disturbance_values(stack, b)
+        metrics.disturbance(stack_bases([haar_random_basis(3, 46, k) for k in range(5)]), b)
         assert shapes == [(5, 3, 3, 3)]
-
-
-class TestStackedValues:
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_stack_matches_each_basis(self, d):
-        a, _, b = random_triple(d, 47)
-        aps = [haar_random_basis(d, 48, k) for k in range(7)]
-        stack = np.stack([ap.vectors for ap in aps])
-        eps = metrics.error_values(a, stack)
-        eta = metrics.disturbance_values(stack, b)
-        assert eps.shape == eta.shape == (7,)
-        for k, ap in enumerate(aps):
-            assert abs(eps[k] - metrics.error(a, ap).value) <= 1e-15
-            assert abs(eta[k] - metrics.disturbance(ap, b).value) <= 1e-15
-
-    def test_misshapen_stack_rejected(self):
-        a = haar_random_basis(3, 49)
-        for bad in (a.vectors, np.zeros((2, 4, 4)), np.zeros((2, 3, 4))):
-            with pytest.raises(ValidationError):
-                metrics.error_values(a, bad)
-            with pytest.raises(ValidationError):
-                metrics.disturbance_values(bad, a)
 
 
 def stack_bases(bases):
@@ -252,6 +229,7 @@ class TestBatchedMetrics:
         eta = metrics.disturbance(stack_bases(aps), b)
         for k, ap in enumerate(aps):
             assert eps.value[k] == metrics.error(a, ap).value
+            assert eta.value[k] == metrics.disturbance(ap, b).value
             assert eta.index[k] == metrics.disturbance(ap, b).index
 
     def test_mismatched_batches_rejected(self):
