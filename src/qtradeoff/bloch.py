@@ -26,7 +26,7 @@ def _check_unit(v: np.ndarray, name: str) -> np.ndarray:
     if v.shape != (3,):
         raise ValidationError(f"{name} must be a real 3-vector, got shape {v.shape}")
     if not abs(np.linalg.norm(v) - 1.0) <= VALIDATION_TOL:
-        raise ValidationError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)!r}")
+        raise ValidationError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v):.3e}")
     return v
 
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import explorer, linalg, metrics, oracle
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_finite
 from .measurement import (
     OrthonormalBasis,
     gram_schmidt_repair,
@@ -168,8 +167,7 @@ def _cmd_minimize_aprime(args) -> int:
         b = load_basis(args.b)
     else:
         dim = 3 if args.dim is None else args.dim
-        if not 2 <= dim <= linalg.MAX_DIM:
-            raise ValidationError(f"dimension must be in [2, {linalg.MAX_DIM}], got {dim}")
+        linalg.check_dim(dim)
         a = haar_random_basis(dim, args.seed, 0)
         b = haar_random_basis(dim, args.seed, 1)
     result = explorer.minimize_over_intermediate(a, b, args.restarts, args.seed)
@@ -186,8 +184,8 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if not 2 <= args.dim <= linalg.MAX_DIM:
-        raise ValidationError(f"dimension must be in [2, {linalg.MAX_DIM}], got {args.dim}")
+    check_count(args.trials, 1, "trials")
+    check_finite(args.tolerance, "tolerance")
     instances = []
     worst_low = worst_high = -np.inf
     for t in range(args.trials):
@@ -230,20 +228,6 @@ def _cmd_oracle_check(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtradeoff",
@@ -260,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         if table:
             p.add_argument("--format", choices=["json", "csv"], default="json")
         if verify:
-            p.add_argument("--tolerance", type=_finite_float, default=ASSERTION_TOL,
+            p.add_argument("--tolerance", type=float, default=ASSERTION_TOL,
                            help="assertion tolerance of the verification")
         return p
 
@@ -271,25 +255,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("scan-theorem1", _cmd_scan_theorem1, "d=2 sweep of the intermediate basis",
                 table=True)
-    p.add_argument("--b-angle", type=_finite_float, required=True, dest="b_angle")
+    p.add_argument("--b-angle", type=float, required=True, dest="b_angle")
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--plane-only", action=argparse.BooleanOptionalAction,
                    default=True, dest="plane_only")
 
     p = command("scan-bounds-d3", _cmd_scan_bounds_d3, "d=3 disturbance bound sweep",
                 table=True)
-    p.add_argument("--overlap1-sq", type=_finite_float, default=0.1,
+    p.add_argument("--overlap1-sq", type=float, default=0.1,
                    dest="overlap1_sq")
     p.add_argument("--steps", type=int, default=200)
 
     p = command("verify-properties", _cmd_verify_properties,
                 "randomized checks of the basic properties", seeded=True, verify=True)
-    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--trials", type=int, default=100)
 
     p = command("verify-theorem2", _cmd_verify_theorem2, "MUB trade-off verification",
                 seeded=True, verify=True)
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=_positive_int, default=1000)
+    p.add_argument("--trials", type=int, default=1000)
 
     p = command("minimize-aprime", _cmd_minimize_aprime,
                 "search for the intermediate basis minimizing eps + eta", seeded=True)
@@ -297,20 +281,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default=None)
     p.add_argument("--dim", type=int, default=None,
                    help="dimension of the random pair drawn without --a/--b (default 3)")
-    p.add_argument("--restarts", type=_positive_int, default=6)
+    p.add_argument("--restarts", type=int, default=6)
 
     p = command("conjecture", _cmd_conjecture, "randomized conjecture stress test",
                 seeded=True, verify=True)
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=_positive_int, default=1000)
+    p.add_argument("--trials", type=int, default=1000)
 
     p = command("oracle-check", _cmd_oracle_check,
                 "cross-validate metrics against pure-state sampling", seeded=True,
                 verify=True)
     p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=_positive_int, default=10)
-    p.add_argument("--samples", type=_positive_int, default=2000)
-    p.add_argument("--refine-iters", type=_positive_int, default=200, dest="refine_iters")
+    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--refine-iters", type=int, default=200, dest="refine_iters")
 
     return parser
 

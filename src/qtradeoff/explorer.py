@@ -16,11 +16,12 @@ from typing import List, Tuple
 import numpy as np
 
 from . import bloch, linalg, metrics, structures
-from .errors import UnsupportedSizeError, ValidationError
+from .errors import ValidationError, check_count, check_finite
 from .measurement import (
     OrthonormalBasis,
     computational_basis,
     haar_random_basis,
+    require_same_dim,
 )
 from .tolerances import ASSERTION_TOL
 
@@ -104,8 +105,8 @@ def scan_theorem1(b_angle: float, steps: int, plane_only: bool = True) -> ScanTa
     Span{a, b} when ``plane_only``, within the plane spanned by a and the
     normal a x b otherwise.
     """
-    if steps < 3:
-        raise ValidationError(f"need at least 3 grid steps, got {steps}")
+    check_count(steps, 3, "steps")
+    check_finite(b_angle, "b_angle")
     a = np.array([0.0, 0.0, 1.0])
     b = np.array([math.sin(b_angle), 0.0, math.cos(b_angle)])
     in_plane = b - np.dot(a, b) * a
@@ -132,8 +133,8 @@ def scan_bounds_d3(overlap1_sq: float, steps: int) -> ScanTable:
     ordering c1 <= c2 <= c3 and normalization; each row holds the outcome-i
     disturbance value (before the max over i) and both bounds.
     """
-    if steps < 3:
-        raise ValidationError(f"need at least 3 grid steps, got {steps}")
+    check_count(steps, 3, "steps")
+    check_finite(overlap1_sq, "overlap1_sq")
     if not 0.0 <= overlap1_sq <= 1.0 / 3.0 + 1e-12:
         raise ValidationError(f"overlap1_sq must lie in [0, 1/3], got {overlap1_sq}")
     c1 = float(overlap1_sq)
@@ -162,10 +163,9 @@ def _haar_blocks(d: int, seed: int, trials: range, *subs: tuple, prefix: tuple =
 def verify_theorem2(d: int, trials: int, seed: int,
                     tol: float = ASSERTION_TOL) -> TheoremTwoRun:
     """MUB trade-off: eps + eta >= 1 - 1/d over Haar-random intermediates."""
-    if not 2 <= d <= linalg.MAX_DIM:
-        raise ValidationError(f"dimension must be in [2, {linalg.MAX_DIM}], got {d}")
-    if trials < 1:
-        raise ValidationError(f"need at least one trial, got {trials}")
+    linalg.check_dim(d)
+    check_count(trials, 1, "trials")
+    check_finite(tol, "tolerance")
     a = computational_basis(d)
     b = structures.fourier_basis(d)
     floor = 1.0 - 1.0 / d
@@ -281,12 +281,10 @@ def minimize_over_intermediate(a: OrthonormalBasis, b: OrthonormalBasis,
     a random (A, B) pair is drawn from.  All restarts run in one lockstep
     :func:`_local_search`; the first strictly lowest value wins.
     """
-    if a.dim != b.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.dim > _MAX_SEARCH_DIM:
-        raise UnsupportedSizeError(f"search supports d <= {_MAX_SEARCH_DIM}, got {a.dim}")
-    if restarts < 1:
-        raise ValidationError(f"need at least one restart, got {restarts}")
+    require_same_dim(a, b)
+    linalg.check_dim(a.dim, hi=_MAX_SEARCH_DIM)
+    check_count(restarts, 1, "restarts")
+    check_count(iters, 0, "iters")
     perm = list(metrics.relaxed_error(a, b).permutation)
     b_relabeled = OrthonormalBasis(vectors=b.vectors[perm].copy())
     starts = [a, b_relabeled] + [haar_random_basis(a.dim, seed, r) for r in range(2, restarts)]
@@ -312,10 +310,9 @@ def conjecture_search(d: int, trials: int, seed: int,
     The argmin distances are those of the first trial with the least
     eps + eta slack.
     """
-    if not 2 <= d <= _MAX_SEARCH_DIM:
-        raise ValidationError(f"dimension must be in [2, {_MAX_SEARCH_DIM}], got {d}")
-    if trials < 1:
-        raise ValidationError(f"need at least one trial, got {trials}")
+    linalg.check_dim(d, hi=_MAX_SEARCH_DIM)
+    check_count(trials, 1, "trials")
+    check_finite(tol, "tolerance")
     min_slack_sum = np.inf
     min_slack_delta = np.inf
     violations: List[dict] = []
@@ -358,10 +355,12 @@ def conjecture_search(d: int, trials: int, seed: int,
 def verify_properties(dims=(2, 3, 4, 5), trials: int = 100, seed: int = 0,
                       tol: float = ASSERTION_TOL) -> PropertyRun:
     """Check Properties 1-4, reducibility and subsystems on random instances."""
-    if not dims or not all(2 <= d <= linalg.MAX_DIM for d in dims):
-        raise ValidationError(f"dims must be non-empty and in [2, {linalg.MAX_DIM}], got {dims}")
-    if trials < 1:
-        raise ValidationError(f"need at least one trial, got {trials}")
+    if not dims:
+        raise ValidationError("dims must be non-empty")
+    for d in dims:
+        linalg.check_dim(d)
+    check_count(trials, 1, "trials")
+    check_finite(tol, "tolerance")
     checks: List[Tuple[str, bool, str]] = []
 
     # A name listed twice is one check over two slacks: the Perron-Frobenius

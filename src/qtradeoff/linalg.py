@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import UnsupportedSizeError, ValidationError, check_count
 from .tolerances import VALIDATION_TOL
 
 # Largest Hilbert-space dimension the package is built for.
 MAX_DIM = 16
+
+
+def check_dim(d: int, hi: int = MAX_DIM) -> None:
+    """UnsupportedSizeError unless 2 <= d <= hi."""
+    if not 2 <= d <= hi:
+        raise UnsupportedSizeError(f"dimension must be in [2, {hi}], got {d}")
 
 
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
@@ -87,9 +93,10 @@ def haar_unitaries(dim: int, seed: int, streams) -> np.ndarray:
     it equals ``haar_unitary(dim, seed, *streams[t])``; all entries share one
     stacked QR.  The diagonal of R is rotated to be real positive, which makes
     the QR map well defined and the resulting Q exactly Haar distributed.
+    Every seeded driver draws here, so this is where a negative seed fails.
     """
-    if dim < 2:
-        raise ValidationError(f"dimension must be >= 2, got {dim}")
+    check_dim(dim)
+    check_count(seed, 0, "seed")
     g = np.empty((len(streams), dim, dim), dtype=np.complex128)
     for t, stream in enumerate(streams):
         g.real[t], g.imag[t] = rng_from(seed, *stream).standard_normal((2, dim, dim))
@@ -105,8 +112,7 @@ def haar_unitary(dim: int, seed: int, *stream: int) -> np.ndarray:
 
 def haar_unit_vector(dim: int, seed: int, *stream: int) -> np.ndarray:
     """Haar-random unit vector (the first column of a Haar unitary in law)."""
-    if dim < 2:
-        raise ValidationError(f"dimension must be >= 2, got {dim}")
+    check_dim(dim)
     rng = rng_from(seed, *stream)
     g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return g / np.linalg.norm(g)

@@ -39,6 +39,17 @@ class OrthonormalBasis:
         return isinstance(other, OrthonormalBasis) and np.array_equal(self.vectors, other.vectors)
 
 
+def require_same_dim(*bases: OrthonormalBasis) -> None:
+    """Equal dimensions, and equal batch shapes among the batched bases."""
+    shapes = [x.vectors.shape for x in bases]
+    dims = [shape[-1] for shape in shapes]
+    if len(set(dims)) > 1:
+        raise ValidationError(f"dimension mismatch: {' vs '.join(map(str, dims))}")
+    batches = [batch for batch in dict.fromkeys(shape[:-2] for shape in shapes) if batch]
+    if len(batches) > 1:
+        raise ValidationError(f"batch shape mismatch: {' vs '.join(map(str, batches))}")
+
+
 def make_basis(vectors, tol: float = VALIDATION_TOL) -> OrthonormalBasis:
     """Validate orthonormality and wrap; never silently re-orthonormalizes.
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import linalg
 from .errors import UnsupportedSizeError, ValidationError
-from .measurement import OrthonormalBasis
+from .measurement import OrthonormalBasis, require_same_dim
 from .tolerances import TIE_TOL, VALIDATION_TOL
 
 # Exhaustive permutation enumeration in relaxed_error stays cheap up to here.
@@ -56,17 +56,6 @@ class OverallError(NamedTuple):
 class RelaxedError(NamedTuple):
     value: float
     permutation: tuple
-
-
-def _require_same_dim(*bases) -> None:
-    """Equal dimensions, and equal batch shapes among the batched bases."""
-    shapes = [x.vectors.shape for x in bases]
-    dims = [shape[-1] for shape in shapes]
-    if len(set(dims)) > 1:
-        raise ValidationError(f"dimension mismatch: {' vs '.join(map(str, dims))}")
-    batches = [batch for batch in dict.fromkeys(shape[:-2] for shape in shapes) if batch]
-    if len(batches) > 1:
-        raise ValidationError(f"batch shape mismatch: {' vs '.join(map(str, batches))}")
 
 
 def _scalar(x):
@@ -94,7 +83,7 @@ def _check_states(psi, dim: int) -> np.ndarray:
         raise ValidationError(f"expected states of shape ({dim},) or (n, {dim}), got {psi.shape}")
     dev = np.max(np.abs(np.linalg.norm(psi, axis=-1) - 1.0), initial=0.0)
     if not dev <= VALIDATION_TOL:
-        raise ValidationError(f"state vector is not normalized: ||psi| - 1| = {dev!r}")
+        raise ValidationError(f"state vector is not normalized: ||psi| - 1| = {dev:.3e}")
     return psi
 
 
@@ -146,14 +135,14 @@ def _residual_norms(a: np.ndarray, ap: np.ndarray) -> np.ndarray:
 
 def error_matrices(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
     """Stack over i of |a_i><a_i| - |a'_i><a'_i|."""
-    _require_same_dim(a, ap)
+    require_same_dim(a, ap)
     return _projectors(a.vectors) - _projectors(ap.vectors)
 
 
 def disturbance_matrices(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
     """Stack over i of |b_i><b_i| - sum_k |<b_i|a'_k>|^2 |a'_k><a'_k|: shape
     (..., d, d, d), outcome i before the matrix axes."""
-    _require_same_dim(ap, b)
+    require_same_dim(ap, b)
     w = _overlaps(ap.vectors, b.vectors) ** 2
     return _projectors(b.vectors) - np.einsum("...ik,...kxy->...ixy", w, _projectors(ap.vectors))
 
@@ -165,7 +154,7 @@ def disturbance_matrix(ap: OrthonormalBasis, b: OrthonormalBasis, i: int) -> np.
 
 def error(a: OrthonormalBasis, ap: OrthonormalBasis) -> WitnessValue:
     """eps = max_i sqrt(1 - |<a'_i|a_i>|^2) with the maximizing outcome."""
-    _require_same_dim(a, ap)
+    require_same_dim(a, ap)
     return WitnessValue(*_witness(_residual_norms(a.vectors, ap.vectors)))
 
 
@@ -181,7 +170,7 @@ def overall_error(a: OrthonormalBasis, ap: OrthonormalBasis,
     The 2 d^2 matrices E_i + s D_j form one stack ordered (i, j, s) with
     s = +1 before s = -1, so the flat witness index is the lowest such triple.
     """
-    _require_same_dim(a, ap, b)
+    require_same_dim(a, ap, b)
     e = error_matrices(a, ap)[..., :, None, :, :]
     t = disturbance_matrices(ap, b)[..., None, :, :, :]
     r = linalg.spectral_radius(np.stack([e + t, e - t], axis=-3))
@@ -218,7 +207,7 @@ def disturbance_matrix_in_frame(ap: OrthonormalBasis, b: OrthonormalBasis,
     c_k = |<a'_k|b_i>|, all non-negative.  For a batch of bases, ``i`` may
     hold one outcome per basis, giving shape (n, d, d).
     """
-    _require_same_dim(ap, b)
+    require_same_dim(ap, b)
     m = _overlaps(ap.vectors, b.vectors)
     c = np.take_along_axis(m, np.expand_dims(i, (-2, -1)), axis=-2)[..., 0, :]
     return frame_rows(c, c**2)
@@ -226,25 +215,25 @@ def disturbance_matrix_in_frame(ap: OrthonormalBasis, b: OrthonormalBasis,
 
 def calibration_error(a: OrthonormalBasis, ap: OrthonormalBasis):
     """eps^c = max_i (1 - |<a'_i|a_i>|^2); satisfies eps = sqrt(eps^c)."""
-    _require_same_dim(a, ap)
+    require_same_dim(a, ap)
     return _scalar(np.max(_residual_norms(a.vectors, ap.vectors) ** 2, axis=-1))
 
 
 def calibration_disturbance(ap: OrthonormalBasis, b: OrthonormalBasis):
     """eta^c = max_i (1 - sum_k |<a'_k|b_i>|^4)."""
-    _require_same_dim(ap, b)
+    require_same_dim(ap, b)
     return _scalar(np.max(_calibration_rows(_overlaps(ap.vectors, b.vectors) ** 2), axis=-1))
 
 
 def disturbance_bound_1(ap: OrthonormalBasis, b: OrthonormalBasis):
     """max_i sqrt((1 - 1/d)(1 - sum_k |<a'_k|b_i>|^4))."""
-    _require_same_dim(ap, b)
+    require_same_dim(ap, b)
     return _scalar(np.max(bound1_rows(_overlaps(ap.vectors, b.vectors) ** 2), axis=-1))
 
 
 def disturbance_bound_2(ap: OrthonormalBasis, b: OrthonormalBasis):
     """max_{i,j} |<a'_j|b_i>| sum_{k != j} |<a'_k|b_i>| (Frobenius column bound)."""
-    _require_same_dim(ap, b)
+    require_same_dim(ap, b)
     return _scalar(np.max(bound2_rows(_overlaps(ap.vectors, b.vectors)), axis=-1))
 
 
@@ -255,7 +244,7 @@ def relaxed_error(a: OrthonormalBasis, b: OrthonormalBasis) -> RelaxedError:
     further but is unnecessary at desk scale.  Ties go to the first
     permutation in lexicographic order.
     """
-    _require_same_dim(a, b)
+    require_same_dim(a, b)
     d = a.dim
     if d > _MAX_RELAXED_DIM:
         raise UnsupportedSizeError(

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .linalg import check_hermitian, expectations, rng_from
-from .measurement import OrthonormalBasis
+from .measurement import OrthonormalBasis, require_same_dim
 
 _STEP_FLOOR = 1e-10
 _BLOCK = 256
@@ -73,8 +73,8 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
     below 1e-10.  Pieces never interact, so an objective's result does not
     depend on which others share the ascent.  One result per objective.
     """
-    if samples < 1:
-        raise ValidationError(f"need at least one sample, got {samples}")
+    check_count(samples, 1, "samples")
+    check_count(refine_iters, 1, "refine_iters")
     groups = [_pieces([families[f] for f in obj]) for obj in objectives]
     pieces = np.concatenate(groups)
     every = np.arange(len(pieces))
@@ -159,8 +159,7 @@ def _disturbance_terms(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
 
 def _triple_terms(a: OrthonormalBasis, ap: OrthonormalBasis,
                   b: OrthonormalBasis) -> tuple[np.ndarray, np.ndarray]:
-    if not a.dim == ap.dim == b.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim}, {ap.dim}, {b.dim}")
+    require_same_dim(a, ap, b)
     return _error_terms(a, ap), _disturbance_terms(ap, b)
 
 
@@ -189,8 +188,7 @@ def max_error_over_states(a: OrthonormalBasis, ap: OrthonormalBasis,
                           samples: int, refine_iters: int, seed: int,
                           *stream: int) -> OracleResult:
     """Sampled maximum of the state-dependent error over pure states."""
-    if a.dim != ap.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {ap.dim}")
+    require_same_dim(a, ap)
     return _maximize((_error_terms(a, ap),), ((0,),), a.dim, samples,
                      refine_iters, seed, *stream)[0]
 
@@ -199,8 +197,7 @@ def max_disturbance_over_states(ap: OrthonormalBasis, b: OrthonormalBasis,
                                 samples: int, refine_iters: int, seed: int,
                                 *stream: int) -> OracleResult:
     """Sampled maximum of the state-dependent disturbance over pure states."""
-    if ap.dim != b.dim:
-        raise ValidationError(f"dimension mismatch: {ap.dim} vs {b.dim}")
+    require_same_dim(ap, b)
     return _maximize((_disturbance_terms(ap, b),), ((0,),), ap.dim, samples,
                      refine_iters, seed, *stream)[0]
 

@@ -11,8 +11,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import UnsupportedSizeError, ValidationError
-from .linalg import MAX_DIM
+from .errors import ValidationError
+from .linalg import check_dim
 from .measurement import OrthonormalBasis, make_basis
 
 BasisTriple = Tuple[OrthonormalBasis, OrthonormalBasis, OrthonormalBasis]
@@ -24,8 +24,7 @@ def fourier_basis(d: int) -> OrthonormalBasis:
     All squared overlaps with the computational basis equal 1/d, so the two
     bases are mutually unbiased in every dimension.
     """
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
+    check_dim(d)
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return make_basis(np.exp(2j * np.pi * j * k / d) / np.sqrt(d))
 
@@ -73,9 +72,7 @@ def tensor_product(factors: Sequence[BasisTriple]) -> BasisTriple:
     of products.
     """
     dims, batch = _triple_dims(factors, "tensor product", "factor")
-    total = int(np.prod(dims))
-    if not 2 <= total <= MAX_DIM:
-        raise UnsupportedSizeError(f"total dimension {total} outside [2, {MAX_DIM}]")
+    check_dim(int(np.prod(dims)))
     vectors = np.ones((3, *batch, 1, 1), dtype=np.complex128)
     for triple in factors:
         y = np.stack([x.vectors for x in triple])

@@ -27,6 +27,33 @@ def triple_files(tmp_path):
     return paths
 
 
+# Valid small arguments per subcommand; a test appends the one value under test.
+SMALL = {
+    "scan-theorem1": ["--b-angle", "1", "--steps", "3"],
+    "scan-bounds-d3": ["--steps", "3"],
+    "verify-properties": ["--trials", "1"],
+    "verify-theorem2": ["--dim", "2", "--trials", "1"],
+    "minimize-aprime": ["--dim", "2", "--restarts", "1"],
+    "conjecture": ["--dim", "2", "--trials", "1"],
+    "oracle-check": ["--dim", "2", "--trials", "1", "--samples", "4", "--refine-iters", "1"],
+}
+COUNTS = ("0", "-1")
+NON_FINITE = ("nan", "inf", "-inf")
+# Every numeric flag of every subcommand with the values it must reject.
+BAD_VALUES = {
+    "scan-theorem1": {"--b-angle": NON_FINITE, "--steps": COUNTS + ("2",)},
+    "scan-bounds-d3": {"--overlap1-sq": NON_FINITE + ("-1",), "--steps": COUNTS + ("2",)},
+    "verify-properties": {"--trials": COUNTS, "--tolerance": NON_FINITE},
+    "verify-theorem2": {"--dim": COUNTS + ("1", "17"), "--trials": COUNTS + ("-5",),
+                        "--tolerance": NON_FINITE},
+    "minimize-aprime": {"--dim": COUNTS + ("1", "17"), "--restarts": COUNTS},
+    "conjecture": {"--dim": COUNTS + ("1", "6", "17"), "--trials": COUNTS,
+                   "--tolerance": NON_FINITE},
+    "oracle-check": {"--dim": COUNTS + ("1", "17"), "--trials": COUNTS, "--samples": COUNTS,
+                     "--refine-iters": COUNTS, "--tolerance": NON_FINITE},
+}
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):
         src = str(Path(qtradeoff.__file__).resolve().parent.parent)
@@ -207,12 +234,6 @@ class TestVerificationExitCodes:
                 basis = haar_random_basis(3, 0, v["trial"], sub)
                 assert v[name] == cli.dump_basis(basis)
 
-    def test_non_finite_tolerance_is_usage_error(self, capsys):
-        for value in ("nan", "inf", "-inf"):
-            assert cli.run(["conjecture", "--dim", "2", "--trials", "1",
-                            "--tolerance", value]) == cli.EXIT_USAGE, value
-        assert capsys.readouterr().out == ""
-
     def test_flags_only_where_honoured(self, capsys, triple_files):
         assert cli.run(["conjecture", "--dim", "2", "--trials", "1",
                         "--format", "csv"]) == cli.EXIT_USAGE
@@ -243,25 +264,24 @@ class TestVerificationExitCodes:
         assert cli.run(["no-such-command"]) == cli.EXIT_USAGE
         capsys.readouterr()
 
-    def test_non_positive_counts_are_usage_errors(self, capsys):
-        for argv in (["conjecture", "--trials", "0"],
-                     ["verify-theorem2", "--trials", "-5"],
-                     ["verify-properties", "--trials", "0"],
-                     ["oracle-check", "--trials", "0"],
-                     ["oracle-check", "--samples", "0"],
-                     ["oracle-check", "--refine-iters", "0"],
-                     ["minimize-aprime", "--restarts", "0"]):
-            assert cli.run(argv) == cli.EXIT_USAGE, argv
-        assert capsys.readouterr().out == ""
+    @pytest.mark.parametrize("case", [f"{command} {flag}={value}"
+                                      for command, flags in BAD_VALUES.items()
+                                      for flag, values in flags.items() for value in values])
+    def test_bad_numeric_value_is_usage_error(self, case, capsys):
+        # "--flag=value" keeps argparse from reading "-inf" as an option
+        command, bad = case.split(" ")
+        assert cli.run([command, *SMALL[command], bad]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        if bad.endswith(NON_FINITE):
+            assert "must be finite" in err
 
-    def test_non_finite_float_flags_are_usage_errors(self, capsys):
-        for flag, argv in (("--b-angle", ["scan-theorem1", "--steps", "3"]),
-                           ("--overlap1-sq", ["scan-bounds-d3", "--steps", "3"])):
-            for text in ("nan", "inf", "-inf"):
-                assert cli.run(argv + [f"{flag}={text}"]) == cli.EXIT_USAGE, (flag, text)
-                out = capsys.readouterr()
-                assert out.out == ""
-                assert "must be finite" in out.err
+    @pytest.mark.parametrize("command", ["verify-properties", "verify-theorem2",
+                                         "minimize-aprime", "conjecture", "oracle-check"])
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        assert cli.run([command, *SMALL[command], "--seed=-1"]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "seed: need at least 0, got -1" in err
 
     def test_non_finite_payload_is_never_written(self):
         with pytest.raises(ValueError):

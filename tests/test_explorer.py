@@ -437,17 +437,42 @@ class TestConjectureSearch:
 class TestTrialCounts:
     @pytest.mark.parametrize("trials", [0, -3])
     def test_drivers_reject_fewer_than_one_trial(self, trials):
-        with pytest.raises(ValidationError, match="at least one trial"):
+        with pytest.raises(ValidationError, match="trials: need at least 1"):
             explorer.conjecture_search(3, trials, 0)
-        with pytest.raises(ValidationError, match="at least one trial"):
+        with pytest.raises(ValidationError, match="trials: need at least 1"):
             explorer.verify_theorem2(3, trials, 0)
-        with pytest.raises(ValidationError, match="at least one trial"):
+        with pytest.raises(ValidationError, match="trials: need at least 1"):
             explorer.verify_properties(trials=trials)
 
     @pytest.mark.parametrize("dims", [(), (1,), (2, 17), (0, 3)])
     def test_property_dims_must_be_non_empty_and_in_range(self, dims):
-        with pytest.raises(ValidationError, match="dims"):
+        with pytest.raises(ValidationError, match=r"dims|dimension must be in \[2, 16\]"):
             explorer.verify_properties(dims=dims, trials=1)
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # every comparison with nan is False, so tol=nan would find no violation
+        for run in (lambda: explorer.verify_theorem2(3, 5, 0, tol=tol),
+                    lambda: explorer.conjecture_search(3, 5, 0, tol=tol),
+                    lambda: explorer.verify_properties(dims=(2,), trials=1, tol=tol)):
+            with pytest.raises(ValidationError, match="^tolerance must be finite"):
+                run()
+
+    def test_negative_iteration_count_rejected(self):
+        a, b = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
+        with pytest.raises(ValidationError, match="^iters: need at least 0, got -1$"):
+            explorer.minimize_over_intermediate(a, b, restarts=2, seed=0, iters=-1)
+
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_search_dimension_cap_is_one_rule(self, d):
+        a = computational_basis(d)
+        with pytest.raises(UnsupportedSizeError) as search:
+            explorer.minimize_over_intermediate(a, a, restarts=1, seed=0)
+        with pytest.raises(UnsupportedSizeError) as stress:
+            explorer.conjecture_search(d, trials=1, seed=0)
+        assert str(search.value) == str(stress.value) == f"dimension must be in [2, 5], got {d}"
 
 
 class TestVerifyProperties:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qtradeoff import linalg, oracle
-from qtradeoff.errors import ValidationError
+from qtradeoff.errors import UnsupportedSizeError, ValidationError
 
 from conftest import random_hermitian
 
@@ -128,6 +128,16 @@ class TestHaarSampling:
             linalg.haar_unitary(1, 0)
         with pytest.raises(ValidationError):
             linalg.haar_unit_vector(1, 0)
+
+    def test_dim_above_max_rejected(self):
+        for draw in (linalg.haar_unitary, linalg.haar_unit_vector):
+            with pytest.raises(UnsupportedSizeError,
+                               match=r"^dimension must be in \[2, 16\], got 17$"):
+                draw(17, 0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="^seed: need at least 0, got -1$"):
+            linalg.haar_unitary(2, -1)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_stack_equals_single_draws(self, d):

@@ -99,6 +99,16 @@ class TestStateDependent:
         with pytest.raises(ValidationError):
             metrics.state_dependent_disturbance(ap, b, psi)
 
+    def test_norm_messages_print_plain_numbers(self):
+        a, ap, _ = random_triple(2, 18)
+        with pytest.raises(ValidationError) as state:
+            metrics.state_dependent_error(a, ap, [1.0, 1.0])
+        with pytest.raises(ValidationError) as vector:
+            bloch.bloch_error([0, 0, 2], [0, 0, 1])
+        assert str(state.value).endswith("||psi| - 1| = 4.142e-01")
+        assert str(vector.value).endswith("|a| = 2.000e+00")
+        assert "np.float64" not in str(state.value) + str(vector.value)
+
 
 class TestError:
     def test_identical_bases(self):

@@ -5,7 +5,7 @@ import pytest
 
 from qtradeoff import linalg, metrics, oracle
 from qtradeoff.errors import ValidationError
-from qtradeoff.measurement import computational_basis
+from qtradeoff.measurement import computational_basis, haar_random_basis
 
 from conftest import random_hermitian, random_triple
 from test_metrics import rotated_qubit_basis
@@ -86,6 +86,13 @@ class TestMaxSumOverStates:
         with pytest.raises(ValidationError):
             oracle.max_all_over_states(a, computational_basis(3), a,
                                        samples=1, refine_iters=1, seed=0)
+
+    @pytest.mark.parametrize("refine_iters", [0, -4])
+    def test_refinement_below_one_sweep_rejected(self, refine_iters):
+        # with no sweep the result is the unrefined best sample: 0.805, against 0.922
+        a, ap = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
+        with pytest.raises(ValidationError, match="refine_iters: need at least 1"):
+            oracle.max_error_over_states(a, ap, 50, refine_iters, 0)
 
 
 class TestMaximizers:

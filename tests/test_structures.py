@@ -53,6 +53,10 @@ class TestFourierBasis:
         with pytest.raises(ValidationError):
             structures.fourier_basis(1)
 
+    def test_large_dim_rejected(self):
+        with pytest.raises(UnsupportedSizeError, match=r"\[2, 16\], got 17$"):
+            structures.fourier_basis(17)
+
     def test_achieves_maximal_disturbance(self):
         for d in (2, 3, 4, 5):
             eta = metrics.disturbance(computational_basis(d), structures.fourier_basis(d))
