@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input rules that raise them."""
 
 import math
+import numbers
 
 
 class ValidationError(ValueError):
@@ -12,7 +13,9 @@ class UnsupportedSizeError(ValidationError):
 
 
 def check_count(n: int, least: int, what: str) -> None:
-    """ValidationError naming ``what`` unless the integer ``n`` is at least ``least``."""
+    """ValidationError naming ``what`` unless ``n`` is an integer of at least ``least``."""
+    if not isinstance(n, numbers.Integral):
+        raise ValidationError(f"{what}: need an integer, got {n!r}")
     if n < least:
         raise ValidationError(f"{what}: need at least {least}, got {n}")
 

@@ -25,7 +25,7 @@ from .measurement import (
 )
 from .tolerances import ASSERTION_TOL
 
-_MAX_SEARCH_DIM = 5
+MAX_SEARCH_DIM = 5
 
 # Trials per stacked metric call in the randomized drivers; caps the memory of
 # one block (its overall-error stack holds 2 d^2 matrices per trial).
@@ -78,6 +78,7 @@ class MinimizeResult:
     min_delta: float
     distance_to_a: float
     distance_to_b: float
+    conjecture_floor: float
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,6 @@ class PropertyRun:
     @property
     def all_passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
-
-
-def _grid_with_zero(lo: float, hi: float, steps: int) -> np.ndarray:
-    """Uniform grid snapped so the point nearest zero is exactly zero."""
-    g = np.linspace(lo, hi, steps)
-    if lo < 0.0 < hi or lo == 0.0 or hi == 0.0:
-        g[np.argmin(np.abs(g))] = 0.0
-    return g
 
 
 def scan_theorem1(b_angle: float, steps: int, plane_only: bool = True) -> ScanTable:
@@ -116,7 +109,8 @@ def scan_theorem1(b_angle: float, steps: int, plane_only: bool = True) -> ScanTa
         e = np.array([1.0, 0.0, 0.0])  # a and b parallel: any transverse axis
     if not plane_only:
         e = np.cross(a, e)
-    angles = _grid_with_zero(-math.pi, math.pi, steps)
+    angles = np.linspace(-math.pi, math.pi, steps)
+    angles[np.argmin(np.abs(angles))] = 0.0  # so that A' = A lies on the grid
     rows = np.empty((steps, 3))
     for r, phi in enumerate(angles):
         ap = math.cos(phi) * a + math.sin(phi) * e
@@ -282,11 +276,11 @@ def minimize_over_intermediate(a: OrthonormalBasis, b: OrthonormalBasis,
     :func:`_local_search`; the first strictly lowest value wins.
     """
     require_same_dim(a, b)
-    linalg.check_dim(a.dim, hi=_MAX_SEARCH_DIM)
+    linalg.check_dim(a.dim, hi=MAX_SEARCH_DIM)
     check_count(restarts, 1, "restarts")
     check_count(iters, 0, "iters")
-    perm = list(metrics.relaxed_error(a, b).permutation)
-    b_relabeled = OrthonormalBasis(vectors=b.vectors[perm].copy())
+    relaxed = metrics.relaxed_error(a, b)
+    b_relabeled = OrthonormalBasis(vectors=b.vectors[list(relaxed.permutation)])
     starts = [a, b_relabeled] + [haar_random_basis(a.dim, seed, r) for r in range(2, restarts)]
     best_basis, best_val = None, np.inf
     for basis, val in _local_search(a, b, starts[:restarts], iters):
@@ -299,6 +293,7 @@ def minimize_over_intermediate(a: OrthonormalBasis, b: OrthonormalBasis,
         min_delta=min_delta,
         distance_to_a=metrics.relaxed_error(best_basis, a).value,
         distance_to_b=metrics.relaxed_error(best_basis, b).value,
+        conjecture_floor=min(relaxed.value, metrics.disturbance(a, b).value),
     )
 
 
@@ -310,7 +305,7 @@ def conjecture_search(d: int, trials: int, seed: int,
     The argmin distances are those of the first trial with the least
     eps + eta slack.
     """
-    linalg.check_dim(d, hi=_MAX_SEARCH_DIM)
+    linalg.check_dim(d, hi=MAX_SEARCH_DIM)
     check_count(trials, 1, "trials")
     check_finite(tol, "tolerance")
     min_slack_sum = np.inf

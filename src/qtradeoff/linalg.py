@@ -9,6 +9,8 @@ Ginibre + QR construction.  Everything is deterministic given explicit seeds.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import UnsupportedSizeError, ValidationError, check_count
@@ -19,8 +21,8 @@ MAX_DIM = 16
 
 
 def check_dim(d: int, hi: int = MAX_DIM) -> None:
-    """UnsupportedSizeError unless 2 <= d <= hi."""
-    if not 2 <= d <= hi:
+    """UnsupportedSizeError unless ``d`` is an integer with 2 <= d <= hi."""
+    if not (isinstance(d, numbers.Integral) and 2 <= d <= hi):
         raise UnsupportedSizeError(f"dimension must be in [2, {hi}], got {d}")
 
 
@@ -29,7 +31,9 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
 
     Sub-stream indices let independent trials derive their own generators
     from one master seed, so results do not depend on evaluation order.
+    Every generator of the package is built here, so the seed is checked here.
     """
+    check_count(seed, 0, "seed")
     return np.random.default_rng([int(seed), *[int(s) for s in stream]])
 
 
@@ -93,10 +97,8 @@ def haar_unitaries(dim: int, seed: int, streams) -> np.ndarray:
     it equals ``haar_unitary(dim, seed, *streams[t])``; all entries share one
     stacked QR.  The diagonal of R is rotated to be real positive, which makes
     the QR map well defined and the resulting Q exactly Haar distributed.
-    Every seeded driver draws here, so this is where a negative seed fails.
     """
     check_dim(dim)
-    check_count(seed, 0, "seed")
     g = np.empty((len(streams), dim, dim), dtype=np.complex128)
     for t, stream in enumerate(streams):
         g.real[t], g.imag[t] = rng_from(seed, *stream).standard_normal((2, dim, dim))

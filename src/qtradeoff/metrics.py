@@ -258,7 +258,7 @@ def relaxed_error(a: OrthonormalBasis, b: OrthonormalBasis) -> RelaxedError:
     sin2 = np.swapaxes(np.sum(np.abs(resid) ** 2, axis=-1), -1, -2)
     perms = np.array(list(itertools.permutations(range(d))))  # lexicographic
     worst = np.max(sin2[..., np.arange(d), perms], axis=-1)  # (..., d!)
-    value = _scalar(np.sqrt(np.maximum(np.min(worst, axis=-1), 0.0)))
+    value = _scalar(np.sqrt(np.min(worst, axis=-1)))
     perm = perms[np.argmin(worst, axis=-1)]
     return RelaxedError(value, tuple(perm.tolist()) if perm.ndim == 1 else perm)
 

@@ -99,7 +99,7 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
     moves = moves.view(np.float64)
     # The live pieces are held compacted; a piece leaves when its step drops
     # below the floor, and last[p] is the sweep in which it left.
-    live, mats, at, val = every, pieces, psi.copy(), value.copy()
+    live, mats, at, val = every, pieces, psi, value
     step = np.full(len(pieces), 0.1)
     last = np.zeros(len(pieces), dtype=int)
     rows = every
@@ -119,11 +119,11 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
         sweeps += 1
         keep = step >= _STEP_FLOOR
         if not keep.all():
-            psi[live], value[live], last[live] = at, val, sweeps
+            psi[live], last[live] = at, sweeps
             live, mats, at, val, step = (
                 live[keep], mats[keep], at[keep], val[keep], step[keep])
             rows = rows[:live.size]
-    psi[live], value[live], last[live] = at, val, sweeps
+    psi[live], last[live] = at, sweeps
     results = []
     ends = np.cumsum([len(g) for g in groups])[:-1]
     for obj, part, stops in zip(objectives, np.split(psi, ends), np.split(last, ends)):

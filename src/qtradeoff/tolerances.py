@@ -1,7 +1,7 @@
 """Shared numerical tolerances.
 
-All modules pull their tolerances from here so the validation surface and the
-test assertions stay consistent.
+The tolerances that validation and the test assertions share; step floors,
+cut-offs and check bounds used by one module only stay literals there.
 """
 
 # Input validation (hermiticity, orthonormality, trace, ...).

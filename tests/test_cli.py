@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qtradeoff
-from qtradeoff import cli
+from qtradeoff import cli, metrics
 from qtradeoff.measurement import computational_basis, haar_random_basis
 
 
@@ -46,7 +46,7 @@ BAD_VALUES = {
     "verify-properties": {"--trials": COUNTS, "--tolerance": NON_FINITE},
     "verify-theorem2": {"--dim": COUNTS + ("1", "17"), "--trials": COUNTS + ("-5",),
                         "--tolerance": NON_FINITE},
-    "minimize-aprime": {"--dim": COUNTS + ("1", "17"), "--restarts": COUNTS},
+    "minimize-aprime": {"--dim": COUNTS + ("1", "6", "17"), "--restarts": COUNTS},
     "conjecture": {"--dim": COUNTS + ("1", "6", "17"), "--trials": COUNTS,
                    "--tolerance": NON_FINITE},
     "oracle-check": {"--dim": COUNTS + ("1", "17"), "--trials": COUNTS, "--samples": COUNTS,
@@ -314,18 +314,47 @@ class TestMinimizeAprime:
         assert cli.run(["minimize-aprime", "--restarts", "1"]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["best_basis"]["dim"] == 3
 
-    @pytest.mark.parametrize("dim", ["1", "17", "1000000000"])
-    def test_dimension_is_checked_before_drawing(self, dim, monkeypatch, capsys):
+    @pytest.fixture
+    def draws(self, monkeypatch):
         drawn = []
 
         def spy(*args):
             drawn.append(args)
             raise AssertionError("drew a basis")
         monkeypatch.setattr(cli, "haar_random_basis", spy)
+        return drawn
+
+    # the A' search stops at d = 5, so 6 to 16 are rejected before any draw too
+    @pytest.mark.parametrize("dim", ["1", "6", "16", "17", "1000000000"])
+    def test_dimension_is_checked_before_drawing(self, dim, draws, capsys):
         assert cli.run(["minimize-aprime", "--dim", dim]) == cli.EXIT_USAGE
-        assert drawn == []
+        assert draws == []
         out, err = capsys.readouterr()
-        assert out == "" and "dimension must be in [2, 16]" in err
+        assert out == "" and f"dimension must be in [2, 5], got {dim}" in err
+
+    def test_restarts_are_checked_before_drawing(self, draws, capsys):
+        assert cli.run(["minimize-aprime", "--restarts", "0"]) == cli.EXIT_USAGE
+        assert draws == []
+        out, err = capsys.readouterr()
+        assert out == "" and "restarts: need at least 1, got 0" in err
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_floor_reuses_the_search_relaxed_error(self, dim, monkeypatch, capsys):
+        # the search's relaxed_error(A, B) labels B and gives the floor; the
+        # other two calls are the distances of the best basis to A and to B
+        relaxed = metrics.relaxed_error
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return relaxed(x, y)
+        monkeypatch.setattr(metrics, "relaxed_error", counted)
+        assert cli.run(["minimize-aprime", "--dim", str(dim), "--restarts", "2",
+                        "--seed", "7"]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert len(calls) == 3
+        a, b = haar_random_basis(dim, 7, 0), haar_random_basis(dim, 7, 1)
+        assert payload["conjecture_floor"] == metrics.conjecture_floor(a, b)
 
     def test_one_basis_file_alone_is_usage_error(self, tmp_path, capsys):
         a = write_basis(tmp_path / "a.json", computational_basis(2))

@@ -465,6 +465,28 @@ class TestInputRules:
         with pytest.raises(ValidationError, match="^iters: need at least 0, got -1$"):
             explorer.minimize_over_intermediate(a, b, restarts=2, seed=0, iters=-1)
 
+    def test_non_integer_seed_rejected(self):
+        # a float seed used to draw the stream of its integer part
+        with pytest.raises(ValidationError, match="^seed: need an integer, got 2.5$"):
+            explorer.conjecture_search(3, 2, 2.5)
+        with pytest.raises(ValidationError, match="^seed: need an integer, got 1.9$"):
+            explorer.verify_theorem2(3, 3, 1.9)
+
+    def test_non_integer_counts_rejected(self):
+        a, b = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
+        with pytest.raises(ValidationError, match="^trials: need an integer, got 2.5$"):
+            explorer.conjecture_search(3, 2.5, 0)
+        with pytest.raises(ValidationError, match="^restarts: need an integer, got 2.5$"):
+            explorer.minimize_over_intermediate(a, b, 2.5, 0)
+
+    def test_numpy_integers_accepted(self):
+        a, b = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
+        n = np.int64
+        assert explorer.conjecture_search(n(3), n(5), n(2)) == explorer.conjecture_search(3, 5, 2)
+        assert explorer.verify_theorem2(n(3), n(5), n(1)) == explorer.verify_theorem2(3, 5, 1)
+        assert (explorer.minimize_over_intermediate(a, b, n(3), n(4), iters=n(5))
+                == explorer.minimize_over_intermediate(a, b, 3, 4, iters=5))
+
     @pytest.mark.parametrize("d", [1, 6])
     def test_search_dimension_cap_is_one_rule(self, d):
         a = computational_basis(d)

@@ -139,6 +139,26 @@ class TestHaarSampling:
         with pytest.raises(ValidationError, match="^seed: need at least 0, got -1$"):
             linalg.haar_unitary(2, -1)
 
+    @pytest.mark.parametrize("seed, error", [(-1, "need at least 0, got -1"),
+                                             (2.5, "need an integer, got 2.5")])
+    def test_every_generator_checks_its_seed(self, seed, error):
+        # rng_from builds every generator, so no draw gets past the seed rule
+        for draw in (lambda: linalg.rng_from(seed, 0), lambda: linalg.haar_unit_vector(3, seed),
+                     lambda: linalg.haar_unitaries(3, seed, [(0,)])):
+            with pytest.raises(ValidationError, match=f"^seed: {error}$"):
+                draw()
+
+    def test_non_integer_dimension_rejected(self):
+        for d in (2.5, 3.0, "3"):
+            with pytest.raises(UnsupportedSizeError,
+                               match=rf"^dimension must be in \[2, 16\], got {d}$"):
+                linalg.haar_unitaries(d, 0, [(0,)])
+
+    def test_numpy_integers_accepted(self):
+        n = np.int64
+        assert np.array_equal(linalg.haar_unitaries(n(3), n(4), [(n(1),)]),
+                              linalg.haar_unitaries(3, 4, [(1,)]))
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_stack_equals_single_draws(self, d):
         streams = [(t, k) for t in range(20) for k in range(3)] + [()]

@@ -87,6 +87,23 @@ class TestMaxSumOverStates:
             oracle.max_all_over_states(a, computational_basis(3), a,
                                        samples=1, refine_iters=1, seed=0)
 
+    @pytest.mark.parametrize("seed, error", [(-1, "need at least 0, got -1"),
+                                             (1.5, "need an integer, got 1.5")])
+    def test_bad_seed_rejected(self, seed, error):
+        # the oracle builds its own generator, not through a Haar draw
+        a, ap = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
+        with pytest.raises(ValidationError, match=f"^seed: {error}$"):
+            oracle.max_error_over_states(a, ap, 50, 10, seed)
+
+    def test_numpy_integers_accepted(self):
+        a, ap = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
+        n = np.int64
+        got = oracle.max_error_over_states(a, ap, n(50), n(10), n(3), n(1))
+        want = oracle.max_error_over_states(a, ap, 50, 10, 3, 1)
+        assert (got.value, got.samples_used, got.refinement_steps) == (
+            want.value, want.samples_used, want.refinement_steps)
+        assert np.array_equal(got.maximizer, want.maximizer)
+
     @pytest.mark.parametrize("refine_iters", [0, -4])
     def test_refinement_below_one_sweep_rejected(self, refine_iters):
         # with no sweep the result is the unrefined best sample: 0.805, against 0.922
