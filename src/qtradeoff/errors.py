@@ -14,7 +14,7 @@ class UnsupportedSizeError(ValidationError):
 
 def check_count(n: int, least: int, what: str) -> None:
     """ValidationError naming ``what`` unless ``n`` is an integer of at least ``least``."""
-    if not isinstance(n, numbers.Integral):
+    if type(n) is not int and not isinstance(n, numbers.Integral):  # int: skip the ABC check
         raise ValidationError(f"{what}: need an integer, got {n!r}")
     if n < least:
         raise ValidationError(f"{what}: need at least {least}, got {n}")

@@ -31,15 +31,17 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
 
     Sub-stream indices let independent trials derive their own generators
     from one master seed, so results do not depend on evaluation order.
-    Every generator of the package is built here, so the seed is checked here.
+    Every generator is built here, so seed and indices are checked here.
     """
     check_count(seed, 0, "seed")
-    return np.random.default_rng([int(seed), *[int(s) for s in stream]])
+    for s in stream:
+        check_count(s, 0, "sub-stream index")
+    return np.random.default_rng([int(seed), *map(int, stream)])
 
 
 def check_hermitian(m: np.ndarray) -> np.ndarray:
     """Validate hermiticity of ``m`` (or of each matrix in a stack) and
-    return its symmetrized copy.
+    return its symmetrized copy, float64 for real input, else complex128.
 
     Raises
     ------
@@ -47,7 +49,8 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
         If some entry of ``m - m^dagger`` exceeds ``VALIDATION_TOL`` in
         modulus or is not finite; the message names the offending entry.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m)
+    m = m.astype(np.result_type(m, np.float64), copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected square matrices, got shape {m.shape}")
     mh = np.swapaxes(m, -1, -2).conj()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .tolerances import FILE_INPUT_TOL, VALIDATION_TOL
 
 
@@ -94,8 +94,7 @@ def gram_schmidt_repair(vectors, tol: float = FILE_INPUT_TOL) -> OrthonormalBasi
 
 
 def computational_basis(dim: int) -> OrthonormalBasis:
-    if dim < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dim}")
+    check_count(dim, 1, "dimension")
     return OrthonormalBasis(vectors=np.eye(dim, dtype=np.complex128))
 
 

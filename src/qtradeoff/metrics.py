@@ -14,8 +14,8 @@ also provided.  A witness index is the lowest index whose value lies within
 ``TIE_TOL`` of the maximum, so exact ties go to the lowest index whatever the
 round-off; the reported value is the maximum itself.
 
-The bounds and the Perron-Frobenius frame matrix depend only on the rows of
-W_ik = |<b_i|a'_k>|^2, through ``bound1_rows``, ``bound2_rows``, ``frame_rows``.
+The bounds and the Perron-Frobenius frames, on which eta is solved, depend only
+on the rows of W_ik = |<b_i|a'_k>|^2: ``bound1_rows``, ``bound2_rows``, ``frame_rows``.
 
 ``error``, ``disturbance``, ``overall_error``, ``relaxed_error``,
 ``conjecture_floor``, ``calibration_error``, ``calibration_disturbance`` and
@@ -116,20 +116,22 @@ def _projectors(vectors: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ik->...ijk", vectors, vectors.conj())
 
 
-def _overlaps(ap: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|<b_i|a'_k>| at [..., i, k] for basis vectors of shape (..., d, d)."""
-    return np.abs(b.conj() @ np.swapaxes(ap, -1, -2))
+def _overlaps(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
+    """|<b_i|a'_k>| at [..., i, k], once the two bases are checked to match."""
+    require_same_dim(ap, b)
+    return np.abs(b.vectors.conj() @ np.swapaxes(ap.vectors, -1, -2))
 
 
-def _residual_norms(a: np.ndarray, ap: np.ndarray) -> np.ndarray:
-    """|a'_i - <a_i|a'_i> a_i| = sqrt(1 - |<a'_i|a_i>|^2), capped at 1, for A'
-    vectors of shape (..., d, d): shape (..., d).
+def _residual_norms(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
+    """|a'_i - <a_i|a'_i> a_i| = sqrt(1 - |<a'_i|a_i>|^2), capped at 1, once
+    the two bases are checked to match: shape (..., d).
 
     The norm of a'_i minus its projection onto a_i stays accurate when the
     two bases nearly coincide (no cancellation in 1 - |o|^2).
     """
-    overlaps = np.einsum("...ij,...ij->...i", a.conj(), ap)
-    residual = ap - overlaps[..., None] * a
+    require_same_dim(a, ap)
+    overlaps = np.einsum("...ij,...ij->...i", a.vectors.conj(), ap.vectors)
+    residual = ap.vectors - overlaps[..., None] * a.vectors
     return np.minimum(np.linalg.norm(residual, axis=-1), 1.0)
 
 
@@ -142,8 +144,7 @@ def error_matrices(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
 def disturbance_matrices(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
     """Stack over i of |b_i><b_i| - sum_k |<b_i|a'_k>|^2 |a'_k><a'_k|: shape
     (..., d, d, d), outcome i before the matrix axes."""
-    require_same_dim(ap, b)
-    w = _overlaps(ap.vectors, b.vectors) ** 2
+    w = _overlaps(ap, b) ** 2
     return _projectors(b.vectors) - np.einsum("...ik,...kxy->...ixy", w, _projectors(ap.vectors))
 
 
@@ -154,13 +155,13 @@ def disturbance_matrix(ap: OrthonormalBasis, b: OrthonormalBasis, i: int) -> np.
 
 def error(a: OrthonormalBasis, ap: OrthonormalBasis) -> WitnessValue:
     """eps = max_i sqrt(1 - |<a'_i|a_i>|^2) with the maximizing outcome."""
-    require_same_dim(a, ap)
-    return WitnessValue(*_witness(_residual_norms(a.vectors, ap.vectors)))
+    return WitnessValue(*_witness(_residual_norms(a, ap)))
 
 
 def disturbance(ap: OrthonormalBasis, b: OrthonormalBasis) -> WitnessValue:
-    """eta = max_i R(disturbance_matrix(ap, b, i)) with the maximizing outcome."""
-    return WitnessValue(*_witness(linalg.spectral_radius(disturbance_matrices(ap, b))))
+    """eta = max_i R(D_i) with the maximizing outcome, solved on the A' frames."""
+    m = _overlaps(ap, b)
+    return WitnessValue(*_witness(linalg.spectral_radius(frame_rows(m, m**2))))
 
 
 def overall_error(a: OrthonormalBasis, ap: OrthonormalBasis,
@@ -207,34 +208,29 @@ def disturbance_matrix_in_frame(ap: OrthonormalBasis, b: OrthonormalBasis,
     c_k = |<a'_k|b_i>|, all non-negative.  For a batch of bases, ``i`` may
     hold one outcome per basis, giving shape (n, d, d).
     """
-    require_same_dim(ap, b)
-    m = _overlaps(ap.vectors, b.vectors)
+    m = _overlaps(ap, b)
     c = np.take_along_axis(m, np.expand_dims(i, (-2, -1)), axis=-2)[..., 0, :]
     return frame_rows(c, c**2)
 
 
 def calibration_error(a: OrthonormalBasis, ap: OrthonormalBasis):
     """eps^c = max_i (1 - |<a'_i|a_i>|^2); satisfies eps = sqrt(eps^c)."""
-    require_same_dim(a, ap)
-    return _scalar(np.max(_residual_norms(a.vectors, ap.vectors) ** 2, axis=-1))
+    return _scalar(np.max(_residual_norms(a, ap) ** 2, axis=-1))
 
 
 def calibration_disturbance(ap: OrthonormalBasis, b: OrthonormalBasis):
     """eta^c = max_i (1 - sum_k |<a'_k|b_i>|^4)."""
-    require_same_dim(ap, b)
-    return _scalar(np.max(_calibration_rows(_overlaps(ap.vectors, b.vectors) ** 2), axis=-1))
+    return _scalar(np.max(_calibration_rows(_overlaps(ap, b) ** 2), axis=-1))
 
 
 def disturbance_bound_1(ap: OrthonormalBasis, b: OrthonormalBasis):
     """max_i sqrt((1 - 1/d)(1 - sum_k |<a'_k|b_i>|^4))."""
-    require_same_dim(ap, b)
-    return _scalar(np.max(bound1_rows(_overlaps(ap.vectors, b.vectors) ** 2), axis=-1))
+    return _scalar(np.max(bound1_rows(_overlaps(ap, b) ** 2), axis=-1))
 
 
 def disturbance_bound_2(ap: OrthonormalBasis, b: OrthonormalBasis):
     """max_{i,j} |<a'_j|b_i>| sum_{k != j} |<a'_k|b_i>| (Frobenius column bound)."""
-    require_same_dim(ap, b)
-    return _scalar(np.max(bound2_rows(_overlaps(ap.vectors, b.vectors)), axis=-1))
+    return _scalar(np.max(bound2_rows(_overlaps(ap, b)), axis=-1))
 
 
 def relaxed_error(a: OrthonormalBasis, b: OrthonormalBasis) -> RelaxedError:

@@ -515,6 +515,17 @@ class TestVerifyProperties:
             else:
                 assert got == want, name
 
+    def test_top_eigenvalue_is_checked_against_the_complex_stack(self, monkeypatch):
+        # eta and the checked frame share frame_rows, so a wrong frame kernel
+        # must show against R(D_i) of the complex stack rather than cancel
+        # against the eta it produced
+        rows = metrics.frame_rows
+        monkeypatch.setattr(metrics, "frame_rows", lambda m, w: 1.01 * rows(m, w))
+        run = explorer.verify_properties(dims=(2, 3, 4), trials=20, seed=0)
+        top = [c for c in run.checks if c[0].startswith("perron_frobenius_top_eigenvalue")]
+        assert len(top) == 3
+        assert not any(ok for _, ok, _ in top), top
+
     def test_qubit_frame_is_the_same_from_either_outcome_row(self):
         # unitarity gives the other row's moduli c' = (c_1, c_0), and the frame
         # c c^T - diag(c^2) is [[0, c_0 c_1], [c_0 c_1, 0]] from either row

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtradeoff import linalg, oracle
+from qtradeoff import linalg, measurement, oracle
 from qtradeoff.errors import UnsupportedSizeError, ValidationError
 
 from conftest import random_hermitian
@@ -66,6 +66,33 @@ class TestStacks:
         ms[2, 1, 1] = np.nan
         with pytest.raises(ValidationError, match=r"m\[2,1,1\]"):
             linalg.check_hermitian(ms)
+
+
+class TestRealSymmetricInput:
+    """Real input stays float64, so LAPACK takes its real symmetric solver."""
+
+    def test_real_stack_stays_real_and_matches_the_complex_solve(self):
+        g = np.random.default_rng(7).standard_normal((5, 4, 4))
+        m = g + np.swapaxes(g, -1, -2)
+        assert linalg.check_hermitian(m).dtype == np.float64
+        assert linalg.check_hermitian(m.astype(np.float32)).dtype == np.float64
+        assert linalg.check_hermitian(np.eye(3, dtype=int)).dtype == np.float64
+        assert linalg.check_hermitian(m.astype(complex)).dtype == np.complex128
+        real = linalg.eigvals_hermitian(m)
+        assert real.dtype == np.float64
+        assert np.max(np.abs(real - linalg.eigvals_hermitian(m.astype(complex)))) <= 1e-13
+
+    def test_asymmetric_real_entry_named(self):
+        ms = np.tile(np.eye(3), (2, 1, 1))
+        ms[1, 0, 2] = 1e-6
+        with pytest.raises(ValidationError, match=r"m\[1,0,2\] - conj\(m\[1,2,0\]\)"):
+            linalg.check_hermitian(ms)
+
+    def test_nan_real_entry_named(self):
+        m = np.eye(3)
+        m[1, 1] = np.nan
+        with pytest.raises(ValidationError, match=r"m\[1,1\]"):
+            linalg.eigvals_hermitian(m)
 
 
 class TestExpectations:
@@ -146,6 +173,18 @@ class TestHaarSampling:
         for draw in (lambda: linalg.rng_from(seed, 0), lambda: linalg.haar_unit_vector(3, seed),
                      lambda: linalg.haar_unitaries(3, seed, [(0,)])):
             with pytest.raises(ValidationError, match=f"^seed: {error}$"):
+                draw()
+
+    @pytest.mark.parametrize("stream, error", [((1.5,), "need an integer, got 1.5"),
+                                               ((0, -1), "need at least 0, got -1"),
+                                               (("1",), "need an integer, got '1'")])
+    def test_every_sub_stream_index_checked(self, stream, error):
+        for draw in (lambda: linalg.rng_from(0, *stream),
+                     lambda: linalg.haar_unitary(3, 0, *stream),
+                     lambda: linalg.haar_unit_vector(3, 0, *stream),
+                     lambda: linalg.haar_unitaries(3, 0, [(0,), stream]),
+                     lambda: measurement.haar_random_basis(3, 0, *stream)):
+            with pytest.raises(ValidationError, match=f"^sub-stream index: {error}$"):
                 draw()
 
     def test_non_integer_dimension_rejected(self):

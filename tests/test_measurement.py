@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from qtradeoff.errors import ValidationError
-from qtradeoff.measurement import gram_schmidt_repair, haar_random_basis, make_basis
+from qtradeoff.measurement import (
+    computational_basis,
+    gram_schmidt_repair,
+    haar_random_basis,
+    make_basis,
+)
 
 
 class TestBasisValidation:
@@ -53,6 +58,18 @@ class TestBasisValidation:
     def test_batch_shapes_must_hold_square_bases(self, shape):
         with pytest.raises(ValidationError, match="expected d x d vectors"):
             make_basis(np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("dim, error", [(2.5, "need an integer, got 2.5"),
+                                            (3.0, "need an integer, got 3.0"),
+                                            (0, "need at least 1, got 0")])
+    def test_computational_basis_dimension_rule(self, dim, error):
+        with pytest.raises(ValidationError, match=f"^dimension: {error}$"):
+            computational_basis(dim)
+
+    def test_computational_basis_of_dimension_one(self):
+        # d = 1 stays valid: a trivial block of a direct sum
+        assert computational_basis(1).vectors.shape == (1, 1)
+        assert computational_basis(np.int64(3)) == computational_basis(3)
 
     def test_repair_takes_one_basis_only(self):
         v = np.stack([np.eye(2, dtype=complex)] * 3)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qtradeoff import bloch, linalg, metrics, oracle, structures
 from qtradeoff.errors import UnsupportedSizeError, ValidationError
 from qtradeoff.measurement import OrthonormalBasis, computational_basis, haar_random_basis
+from qtradeoff.tolerances import TIE_TOL
 
 from conftest import random_triple
 
@@ -162,6 +163,47 @@ class TestDisturbance:
             linalg.spectral_radius(metrics.disturbance_matrix(ap, b, i))
             for i in range(3))
         assert metrics.disturbance(ap, b).value == pytest.approx(expected, abs=1e-12)
+
+
+class TestDisturbanceOnFrames:
+    """eta is solved on the real A' frames; the complex D_i stack is the reference."""
+
+    @staticmethod
+    def complex_path(ap, b):
+        r = linalg.spectral_radius(metrics.disturbance_matrices(ap, b))
+        top = r.max(axis=-1)
+        return top, np.argmax(r >= top[..., None] - TIE_TOL, axis=-1)
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_haar_pairs_match_the_complex_stack(self, d):
+        aps = stack_bases([haar_random_basis(d, 70, t, 0) for t in range(12)])
+        bs = stack_bases([haar_random_basis(d, 70, t, 1) for t in range(12)])
+        value, index = self.complex_path(aps, bs)
+        eta = metrics.disturbance(aps, bs)
+        assert np.max(np.abs(eta.value - value)) <= 1e-13
+        assert np.array_equal(eta.index, index)
+        for t in (0, 5, 11):
+            single = metrics.disturbance(OrthonormalBasis(vectors=aps.vectors[t]),
+                                         OrthonormalBasis(vectors=bs.vectors[t]))
+            assert abs(single.value - value[t]) <= 1e-13 and single.index == index[t]
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_mub_pair_and_identical_bases(self, d):
+        a, f = computational_basis(d), structures.fourier_basis(d)
+        eta = metrics.disturbance(a, f)
+        value, index = self.complex_path(a, f)
+        assert abs(eta.value - (1.0 - 1.0 / d)) <= 1e-13
+        assert abs(eta.value - value) <= 1e-13 and eta.index == index
+        b = haar_random_basis(d, 71)
+        assert metrics.disturbance(b, b).value <= 1e-14
+
+    def test_frame_matrix_is_a_row_of_the_solved_stack(self):
+        aps = stack_bases([haar_random_basis(4, 72, t, 0) for t in range(6)])
+        b = haar_random_basis(4, 72, 99)
+        eta = metrics.disturbance(aps, b)
+        frame = metrics.disturbance_matrix_in_frame(aps, b, eta.index)
+        assert frame.dtype == np.float64 and frame.shape == (6, 4, 4)
+        assert np.array_equal(linalg.spectral_radius(frame), eta.value)
 
 
 class TestStackedEigensolves:
