@@ -32,6 +32,8 @@ MAX_SEARCH_DIM = 5
 _TRIAL_BLOCK = 256
 
 _STEP_FLOOR = 1e-8  # the A' search ends once its step halves below this
+# The search's steps 0.2 / 2^k >= _STEP_FLOOR, indexed by level.
+_STEPS = tuple(0.2 / 2**k for k in range(int(math.log2(0.2 / _STEP_FLOOR)) + 1))
 
 
 @dataclass(frozen=True)
@@ -205,31 +207,47 @@ def _unitary_moves(d: int, step: float) -> np.ndarray:
 def _descent(v: np.ndarray, iters: int):
     """Gauss-Seidel descent of eps + eta over the geodesic moves from ``v``.
 
-    Yields each stack to score (first ``v`` itself) and is sent its values.
-    Each move of a sweep is tried from the current point in turn and taken
-    if it lowers the sum: the moves still to try are one stack, the first
-    that improves is taken and the ones after it are rescored from the new
-    point.  When a sweep takes no move the step halves, down to _STEP_FLOOR.
+    Yields each stack to score (first ``v`` itself) as (stack, w, bar) and is
+    sent its values and eta-witness outcomes.  Each move of a sweep is tried
+    from the current point in turn and taken if it lowers the sum: the moves
+    still to try are one stack, the first that improves is taken and the
+    ones after it are rescored from the new point.  When a sweep takes no
+    move the step halves, down to _STEP_FLOOR.
+
+    After two sweeps in a row take no move, the next ones start from the same
+    point, so they are yielded as one ladder stack of levels at steps s, s/2,
+    ...: 2 levels, then 4, 8, ... while none improves.  The first level that
+    improves goes on as a plain sweep.  A ladder stack comes with the current
+    witness w and the bar a value must get below; a row that cannot get below
+    it may be sent any value at or above it.  Other stacks have bar = inf.
     """
-    best = float((yield v[None])[0])
-    step = 0.2
-    for _ in range(iters):
-        moves = _unitary_moves(v.shape[-1], step)
+    d = v.shape[-1]
+    vals, wits = yield v[None], 0, np.inf
+    best, w = float(vals[0]), wits[0]
+    level, sweeps, idle = 0, 0, 0  # the step is _STEPS[level]
+    while sweeps < iters and level < len(_STEPS):
+        ladder = _STEPS[level:level + min(max(idle, 1), iters - sweeps)]
+        moves = _unitary_moves(d, ladder[0]) if len(ladder) == 1 else np.concatenate(
+            [_unitary_moves(d, s) for s in ladder])
+        bar = best - 1e-15 if idle >= 2 else np.inf
         improved = False
         while len(moves):
             cands = v @ moves
-            vals = yield cands
+            vals, wits = yield cands, w, bar
             hits = np.flatnonzero(vals < best - 1e-15)
             if not hits.size:
                 break
+            if not improved:  # the levels before this one took no move
+                j = int(hits[0]) // (2 * d * d)
+                sweeps, level, moves = sweeps + j, level + j, moves[:(j + 1) * 2 * d * d]
+                improved, bar = True, np.inf
             k = hits[0]
-            v, best = cands[k], float(vals[k])
+            v, best, w = cands[k], float(vals[k]), wits[k]
             moves = moves[k + 1:]
-            improved = True
-        if not improved:
-            step *= 0.5
-            if step < _STEP_FLOOR:
-                break
+        if improved:
+            sweeps, idle = sweeps + 1, 0
+        else:
+            sweeps, idle, level = sweeps + len(ladder), idle + len(ladder), level + len(ladder)
     return OrthonormalBasis(vectors=v), best
 
 
@@ -238,29 +256,50 @@ def _local_search(a: OrthonormalBasis, b: OrthonormalBasis,
                   iters: int) -> List[Tuple[OrthonormalBasis, float]]:
     """One :func:`_descent` per start, run in lockstep rounds.
 
-    Each round scores the stacks of every unfinished descent as one batch,
-    with one call to :func:`metrics.error` and one to
-    :func:`metrics.disturbance`.  A stacked value does not depend on its
-    place in the batch, so each (basis, value) is that of the descent run
-    alone.
+    Each round scores the stacks of every unfinished descent as one batch.
+    Without ladder stacks that takes one call to :func:`metrics.error` and
+    one to :func:`metrics.disturbance`.  A ladder round first solves each
+    ladder row's frame of its witness outcome w alone: a row whose
+    eps + R(D_w) is not below its bar gets that value, which is exact since
+    R(D_w) <= eta bit for bit and rounding is monotone, and only the open
+    rows reach :func:`metrics.disturbance`.  A stacked value does not depend
+    on its place in the batch, so each (basis, value) is that of the descent
+    run alone.
     """
     descents = [_descent(s.vectors.copy(), iters) for s in starts]
     results: list = [None] * len(starts)
     sends = dict.fromkeys(range(len(starts)))
     while True:
-        stacks = {}
-        for k, vals in sends.items():
+        pending = {}
+        for k, sent in sends.items():
             try:
-                stacks[k] = descents[k].send(vals)
+                pending[k] = descents[k].send(sent)
             except StopIteration as done:
                 results[k] = done.value
-        if not stacks:
+        if not pending:
             return results
-        batch = OrthonormalBasis(vectors=np.concatenate(list(stacks.values())))
-        values = metrics.error(a, batch).value + metrics.disturbance(batch, b).value
+        stacks, ws, bars = zip(*pending.values())
+        batch = OrthonormalBasis(vectors=np.concatenate(stacks))
+        values = metrics.error(a, batch).value
+        if min(bars) == np.inf:  # no ladder stack
+            eta, witnesses = metrics.disturbance(batch, b)
+            values = values + eta
+        else:  # bound each ladder row on its witness frame, then score the open rows
+            witnesses = np.zeros(len(values), dtype=np.intp)  # unread on closed rows
+            w, bar = (np.repeat(col, [len(stack) for stack in stacks]) for col in (ws, bars))
+            rows = np.flatnonzero(bar < np.inf)
+            low = values[rows] + linalg.spectral_radius(metrics.disturbance_matrix_in_frame(
+                OrthonormalBasis(vectors=batch.vectors[rows]), b, w[rows]))
+            todo = np.ones(len(values), dtype=bool)
+            todo[rows] = low < bar[rows]
+            values[rows] = np.where(todo[rows], values[rows], low)
+            if todo.any():
+                eta, witnesses[todo] = metrics.disturbance(
+                    OrthonormalBasis(vectors=batch.vectors[todo]), b)
+                values[todo] += eta
         sends, start = {}, 0
-        for k, stack in stacks.items():
-            sends[k] = values[start:start + len(stack)]
+        for k, stack in zip(pending, stacks):
+            sends[k] = values[start:start + len(stack)], witnesses[start:start + len(stack)]
             start += len(stack)
 
 

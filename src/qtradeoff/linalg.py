@@ -32,11 +32,15 @@ def rng_from(seed: int, *stream: int) -> np.random.Generator:
     Sub-stream indices let independent trials derive their own generators
     from one master seed, so results do not depend on evaluation order.
     Every generator is built here, so seed and indices are checked here.
+    SeedSequence makes one uint32 word of each int below 2**32, so a key of
+    such ints goes in as the (cheaper) uint32 array of the same words.
     """
     check_count(seed, 0, "seed")
     for s in stream:
         check_count(s, 0, "sub-stream index")
-    return np.random.default_rng([int(seed), *map(int, stream)])
+    key = [seed, *stream]
+    return np.random.default_rng(np.array(key, dtype=np.uint32) if max(key) < 2**32
+                                 else [int(k) for k in key])
 
 
 def check_hermitian(m: np.ndarray) -> np.ndarray:
@@ -102,10 +106,10 @@ def haar_unitaries(dim: int, seed: int, streams) -> np.ndarray:
     the QR map well defined and the resulting Q exactly Haar distributed.
     """
     check_dim(dim)
-    g = np.empty((len(streams), dim, dim), dtype=np.complex128)
+    x = np.empty((len(streams), 2, dim, dim))
     for t, stream in enumerate(streams):
-        g.real[t], g.imag[t] = rng_from(seed, *stream).standard_normal((2, dim, dim))
-    q, r = np.linalg.qr(g)
+        x[t] = rng_from(seed, *stream).standard_normal((2, dim, dim))
+    q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
 

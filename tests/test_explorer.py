@@ -32,6 +32,34 @@ def scalar_gauss_seidel(a, b, start, iters):
     return v, best, accepted
 
 
+def plain_gauss_seidel(a, b, start, iters):
+    """Reference search: one sweep per stack, each stack scored in full with
+    metrics.error and metrics.disturbance (no step ladder, no bound)."""
+    def score(stack):
+        ap = OrthonormalBasis(vectors=stack)
+        return metrics.error(a, ap).value + metrics.disturbance(ap, b).value
+
+    v = start.vectors.copy()
+    best = float(score(v[None])[0])
+    step = 0.2
+    for _ in range(iters):
+        moves = explorer._unitary_moves(a.dim, step)
+        improved = False
+        while len(moves):
+            cands = v @ moves
+            vals = score(cands)
+            hits = np.flatnonzero(vals < best - 1e-15)
+            if not hits.size:
+                break
+            k = hits[0]
+            v, best, moves, improved = cands[k], float(vals[k]), moves[k + 1:], True
+        if not improved:
+            step *= 0.5
+            if step < explorer._STEP_FLOOR:
+                break
+    return v, best
+
+
 def per_trial_conjecture(d, trials, seed, tol):
     """Reference search: one trial at a time, each metric on single bases."""
     min_sum = min_delta = math.inf
@@ -272,53 +300,110 @@ class TestLocalSearch:
             if iters == 0:
                 assert np.array_equal(basis.vectors, start.vectors)
 
-    def test_one_call_to_each_metric_per_round(self, monkeypatch):
-        """Each round's stacks, one per unfinished descent, are scored as one
-        batch by one metrics.error and then one metrics.disturbance call."""
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_ladder_and_bound_match_plain_gauss_seidel_bit_for_bit(self, d):
+        """Small iters end inside a ladder stack: from A, sweeps 3-4 and 5-8
+        are ladders, so iters 3 and 5 cut one to its first level."""
+        a = haar_random_basis(d, 63, 0)
+        b = haar_random_basis(d, 63, 1)
+        perm = list(metrics.relaxed_error(a, b).permutation)
+        starts = [a, OrthonormalBasis(vectors=b.vectors[perm].copy()),
+                  haar_random_basis(d, 63, 2), haar_random_basis(d, 63, 3)]
+        for iters in (0, 1, 2, 3, 5, 200):
+            results = explorer._local_search(a, b, starts, iters)
+            for start, (basis, value) in zip(starts, results):
+                v, best = plain_gauss_seidel(a, b, start, iters)
+                assert np.array_equal(basis.vectors, v)
+                assert value == best
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_witness_frame_bound_is_exact(self, d):
+        """eps + R(D_w) <= eps + eta with no tolerance for every outcome w,
+        also with the frames taken from a sub-batch as the search does."""
+        ap = haar_random_basis(d, 64, 0)
+        b = haar_random_basis(d, 64, 1)
+        n = 40
+        batch = OrthonormalBasis(vectors=np.stack(
+            [haar_random_basis(d, 64, 2, t).vectors for t in range(n)]))
+        eps = metrics.error(ap, batch).value
+        eta = metrics.disturbance(batch, b).value
+        rows = np.arange(1, n, 3)
+        sub = OrthonormalBasis(vectors=batch.vectors[rows])
+        radii = []
+        for w in range(d):
+            frames = metrics.disturbance_matrix_in_frame(sub, b, np.full(len(rows), w))
+            r = linalg.spectral_radius(frames)
+            assert np.all(eps[rows] + r <= eps[rows] + eta[rows])
+            radii.append(r)
+        assert np.array_equal(np.max(radii, axis=0), eta[rows])  # eta is one of them, bit for bit
+
+    def test_round_structure(self, monkeypatch):
+        """A round without a ladder stack makes one metrics.error and one
+        metrics.disturbance call on its whole batch.  A ladder round makes one
+        metrics.error call, one bound eigensolve over its ladder rows and at
+        most one metrics.disturbance call, on its open rows."""
         log, made = [], []
         descent = explorer._descent
 
         def logged_descent(v, iters):
-            k, gen, vals = len(made), descent(v, iters), None
+            k, gen, sent = len(made), descent(v, iters), None
             made.append(k)
             try:
                 while True:
-                    stack = gen.send(vals)
-                    log.append(("stack", k, len(stack)))
-                    vals = yield stack
+                    stack, w, bar = gen.send(sent)
+                    log.append(("stack", k, len(stack), bar < np.inf))
+                    sent = yield stack, w, bar
             except StopIteration as done:
                 return done.value
 
-        def spy(name, batched):
-            real = getattr(metrics, name)
+        def spy(module, name, rows):
+            real = getattr(module, name)
 
-            def call(*bases):
-                log.append((name, len(bases[batched].vectors)))
-                return real(*bases)
-            monkeypatch.setattr(metrics, name, call)
+            def call(*args):
+                log.append((name, rows(args)))
+                return real(*args)
+            monkeypatch.setattr(module, name, call)
 
         monkeypatch.setattr(explorer, "_descent", logged_descent)
-        spy("error", 1)
-        spy("disturbance", 0)
-        a = haar_random_basis(3, 62, 0)
-        b = haar_random_basis(3, 62, 1)
-        explorer._local_search(a, b, [a, b, haar_random_basis(3, 62, 2)], 4)
-        rounds, pending = [], []
+        spy(metrics, "error", lambda args: len(args[1].vectors))
+        spy(metrics, "disturbance", lambda args: len(args[0].vectors))
+        spy(metrics, "disturbance_matrix_in_frame", lambda args: len(args[0].vectors))
+        spy(linalg, "spectral_radius", lambda args: math.prod(args[0].shape[:-2]))
+        d = 3
+        a = haar_random_basis(d, 62, 0)
+        b = haar_random_basis(d, 62, 1)
+        explorer._local_search(a, b, [a, b, haar_random_basis(d, 62, 2)], 40)
+        explorer._local_search(a, b, [a], 40)  # idle from A: its ladder rows all close
+        rounds = []
         for event in log:
             if event[0] == "stack":
-                pending.append(event[1:])
-            elif event[0] == "error":
-                rounds.append((pending, event[1]))
-                pending = []
+                if not rounds or rounds[-1][1]:
+                    rounds.append(([], []))
+                rounds[-1][0].append(event[1:])
             else:
-                assert event == ("disturbance", rounds[-1][1])
-        assert not pending
-        assert [e[0] for e in log if e[0] != "stack"] == ["error", "disturbance"] * len(rounds)
-        assert rounds[0] == ([(0, 1), (1, 1), (2, 1)], 3)
-        assert len(rounds) > 3
-        for stacks, n in rounds:
-            assert len({k for k, _ in stacks}) == len(stacks)
-            assert n == sum(size for _, size in stacks)
+                rounds[-1][1].append(event)
+        assert rounds[0][0] == [(0, 1, False), (1, 1, False), (2, 1, False)]
+        kinds = set()
+        for stacks, calls in rounds:
+            assert len({k for k, _, _ in stacks}) == len(stacks)
+            n = sum(size for _, size, _ in stacks)
+            ladder = sum(size for _, size, bounded in stacks if bounded)
+            assert calls[0] == ("error", n)
+            if not ladder:
+                assert calls[1:] == [("disturbance", n), ("spectral_radius", n * d)]
+                kinds.add("plain")
+                continue
+            assert calls[1:3] == [("disturbance_matrix_in_frame", ladder),
+                                  ("spectral_radius", ladder)]
+            if len(calls) == 3:
+                assert ladder == n
+                kinds.add("all closed")
+                continue
+            opened = calls[3][1]
+            assert calls[3:] == [("disturbance", opened), ("spectral_radius", opened * d)]
+            assert n - ladder <= opened <= n
+            kinds.add("mixed" if ladder < n else "some open")
+        assert kinds >= {"plain", "all closed", "mixed"}
 
 
 class TestMinimizeOverIntermediate:

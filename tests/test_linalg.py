@@ -187,6 +187,15 @@ class TestHaarSampling:
             with pytest.raises(ValidationError, match=f"^sub-stream index: {error}$"):
                 draw()
 
+    @pytest.mark.parametrize("key", [(0,), (7, 0, 0), (2**32 - 1, 0, 5), (3, 2**32 - 1),
+                                     (2**32, 1), (4, 2**32, 0), (2**40, 2**32 - 1, 0)])
+    def test_generator_is_numpy_default_rng_of_the_key(self, key):
+        # keys below 2**32 go in as a uint32 array, larger ones as the int list
+        expected = np.random.default_rng(list(key)).standard_normal(6)
+        assert np.array_equal(linalg.rng_from(*key).standard_normal(6), expected)
+        numpy_key = [np.uint64(k) if k >= 2**32 - 1 else np.int64(k) for k in key]
+        assert np.array_equal(linalg.rng_from(*numpy_key).standard_normal(6), expected)
+
     def test_non_integer_dimension_rejected(self):
         for d in (2.5, 3.0, "3"):
             with pytest.raises(UnsupportedSizeError,
