@@ -204,43 +204,39 @@ def _unitary_moves(d: int, step: float) -> np.ndarray:
     return moves
 
 
-def _descent(v: np.ndarray, iters: int):
+def _descent(v: np.ndarray, best: float, w: int, iters: int):
     """Gauss-Seidel descent of eps + eta over the geodesic moves from ``v``.
 
-    Yields each stack to score (first ``v`` itself) as (stack, w, bar) and is
-    sent its values and eta-witness outcomes.  Each move of a sweep is tried
-    from the current point in turn and taken if it lowers the sum: the moves
-    still to try are one stack, the first that improves is taken and the
-    ones after it are rescored from the new point.  When a sweep takes no
-    move the step halves, down to _STEP_FLOOR.
+    ``best`` is the sum at ``v`` and ``w`` its eta-witness outcome.  Yields
+    each stack to score as (stack, w, bar), with bar = best - 1e-15 the value
+    a move must get below, and is sent its values and eta-witness outcomes; a
+    row that cannot get below the bar may be sent any value at or above it.
+    Each move of a sweep is tried from the current point in turn and taken if
+    it lowers the sum: the moves still to try are one stack, the first that
+    improves is taken and the ones after it are rescored from the new point.
+    When a sweep takes no move the step halves, down to _STEP_FLOOR.
 
     After two sweeps in a row take no move, the next ones start from the same
     point, so they are yielded as one ladder stack of levels at steps s, s/2,
     ...: 2 levels, then 4, 8, ... while none improves.  The first level that
-    improves goes on as a plain sweep.  A ladder stack comes with the current
-    witness w and the bar a value must get below; a row that cannot get below
-    it may be sent any value at or above it.  Other stacks have bar = inf.
+    improves goes on as a plain sweep.
     """
     d = v.shape[-1]
-    vals, wits = yield v[None], 0, np.inf
-    best, w = float(vals[0]), wits[0]
     level, sweeps, idle = 0, 0, 0  # the step is _STEPS[level]
     while sweeps < iters and level < len(_STEPS):
         ladder = _STEPS[level:level + min(max(idle, 1), iters - sweeps)]
-        moves = _unitary_moves(d, ladder[0]) if len(ladder) == 1 else np.concatenate(
-            [_unitary_moves(d, s) for s in ladder])
-        bar = best - 1e-15 if idle >= 2 else np.inf
+        moves = np.concatenate([_unitary_moves(d, s) for s in ladder])
         improved = False
         while len(moves):
             cands = v @ moves
-            vals, wits = yield cands, w, bar
+            vals, wits = yield cands, w, best - 1e-15
             hits = np.flatnonzero(vals < best - 1e-15)
             if not hits.size:
                 break
             if not improved:  # the levels before this one took no move
                 j = int(hits[0]) // (2 * d * d)
                 sweeps, level, moves = sweeps + j, level + j, moves[:(j + 1) * 2 * d * d]
-                improved, bar = True, np.inf
+                improved = True
             k = hits[0]
             v, best, w = cands[k], float(vals[k]), wits[k]
             moves = moves[k + 1:]
@@ -256,17 +252,20 @@ def _local_search(a: OrthonormalBasis, b: OrthonormalBasis,
                   iters: int) -> List[Tuple[OrthonormalBasis, float]]:
     """One :func:`_descent` per start, run in lockstep rounds.
 
-    Each round scores the stacks of every unfinished descent as one batch.
-    Without ladder stacks that takes one call to :func:`metrics.error` and
-    one to :func:`metrics.disturbance`.  A ladder round first solves each
-    ladder row's frame of its witness outcome w alone: a row whose
-    eps + R(D_w) is not below its bar gets that value, which is exact since
-    R(D_w) <= eta bit for bit and rounding is monotone, and only the open
-    rows reach :func:`metrics.disturbance`.  A stacked value does not depend
-    on its place in the batch, so each (basis, value) is that of the descent
-    run alone.
+    The starts are scored once, as one batch.  Each later round scores the
+    stacks of every unfinished descent as one batch: one call to
+    :func:`metrics.error`, then each row's frame of its descent's witness
+    outcome w alone.  A row whose eps + R(D_w) is not below its bar gets that
+    value, which is exact since R(D_w) <= eta bit for bit and rounding is
+    monotone; only the open rows reach :func:`metrics.disturbance`.  A
+    stacked value does not depend on its place in the batch, so each
+    (basis, value) is that of the descent run alone.
     """
-    descents = [_descent(s.vectors.copy(), iters) for s in starts]
+    batch = OrthonormalBasis(vectors=np.stack([s.vectors for s in starts]))
+    eps = metrics.error(a, batch).value
+    eta, witnesses = metrics.disturbance(batch, b)
+    descents = [_descent(v, float(x), w, iters)
+                for v, x, w in zip(batch.vectors, eps + eta, witnesses)]
     results: list = [None] * len(starts)
     sends = dict.fromkeys(range(len(starts)))
     while True:
@@ -279,28 +278,19 @@ def _local_search(a: OrthonormalBasis, b: OrthonormalBasis,
         if not pending:
             return results
         stacks, ws, bars = zip(*pending.values())
+        sizes = [len(stack) for stack in stacks]
         batch = OrthonormalBasis(vectors=np.concatenate(stacks))
-        values = metrics.error(a, batch).value
-        if min(bars) == np.inf:  # no ladder stack
-            eta, witnesses = metrics.disturbance(batch, b)
-            values = values + eta
-        else:  # bound each ladder row on its witness frame, then score the open rows
-            witnesses = np.zeros(len(values), dtype=np.intp)  # unread on closed rows
-            w, bar = (np.repeat(col, [len(stack) for stack in stacks]) for col in (ws, bars))
-            rows = np.flatnonzero(bar < np.inf)
-            low = values[rows] + linalg.spectral_radius(metrics.disturbance_matrix_in_frame(
-                OrthonormalBasis(vectors=batch.vectors[rows]), b, w[rows]))
-            todo = np.ones(len(values), dtype=bool)
-            todo[rows] = low < bar[rows]
-            values[rows] = np.where(todo[rows], values[rows], low)
-            if todo.any():
-                eta, witnesses[todo] = metrics.disturbance(
-                    OrthonormalBasis(vectors=batch.vectors[todo]), b)
-                values[todo] += eta
-        sends, start = {}, 0
-        for k, stack in zip(pending, stacks):
-            sends[k] = values[start:start + len(stack)], witnesses[start:start + len(stack)]
-            start += len(stack)
+        w, bar = (np.repeat(col, sizes) for col in (ws, bars))
+        eps = metrics.error(a, batch).value
+        values = eps + linalg.spectral_radius(metrics.disturbance_matrix_in_frame(batch, b, w))
+        witnesses = np.zeros(len(values), dtype=np.intp)  # unread on closed rows
+        todo = values < bar
+        if todo.any():
+            eta, witnesses[todo] = metrics.disturbance(
+                OrthonormalBasis(vectors=batch.vectors[todo]), b)
+            values[todo] = eps[todo] + eta
+        sends = {k: (values[end - n:end], witnesses[end - n:end])
+                 for k, n, end in zip(pending, sizes, np.cumsum(sizes))}
 
 
 def minimize_over_intermediate(a: OrthonormalBasis, b: OrthonormalBasis,
@@ -389,7 +379,7 @@ def conjecture_search(d: int, trials: int, seed: int,
 def verify_properties(dims=(2, 3, 4, 5), trials: int = 100, seed: int = 0,
                       tol: float = ASSERTION_TOL) -> PropertyRun:
     """Check Properties 1-4, reducibility and subsystems on random instances."""
-    if not dims:
+    if len(dims) == 0:
         raise ValidationError("dims must be non-empty")
     for d in dims:
         linalg.check_dim(d)

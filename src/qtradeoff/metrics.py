@@ -119,7 +119,7 @@ def _projectors(vectors: np.ndarray) -> np.ndarray:
 def _overlaps(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
     """|<b_i|a'_k>| at [..., i, k], once the two bases are checked to match."""
     require_same_dim(ap, b)
-    return np.abs(b.vectors.conj() @ np.swapaxes(ap.vectors, -1, -2))
+    return np.abs(b.gram(ap))
 
 
 def _residual_norms(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
@@ -249,7 +249,7 @@ def relaxed_error(a: OrthonormalBasis, b: OrthonormalBasis) -> RelaxedError:
     # sin2[..., i, j] = 1 - |<b_j|a_i>|^2 via the orthogonal residual
     # (accurate when a_i and b_j nearly coincide).
     av, bv = a.vectors, b.vectors
-    o = bv.conj() @ np.swapaxes(av, -1, -2)  # o[..., j, i] = <b_j|a_i>
+    o = b.gram(a)  # o[..., j, i] = <b_j|a_i>
     resid = av[..., None, :, :] - o[..., :, :, None] * bv[..., :, None, :]
     sin2 = np.swapaxes(np.sum(np.abs(resid) ** 2, axis=-1), -1, -2)
     perms = np.array(list(itertools.permutations(range(d))))  # lexicographic

@@ -300,15 +300,15 @@ class TestLocalSearch:
             if iters == 0:
                 assert np.array_equal(basis.vectors, start.vectors)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_ladder_and_bound_match_plain_gauss_seidel_bit_for_bit(self, d):
+    @pytest.mark.parametrize("d, haar", [(2, 2), (3, 2), (4, 2), (5, 2), (4, 4), (5, 4)])
+    def test_ladder_and_bound_match_plain_gauss_seidel_bit_for_bit(self, d, haar):
         """Small iters end inside a ladder stack: from A, sweeps 3-4 and 5-8
         are ladders, so iters 3 and 5 cut one to its first level."""
         a = haar_random_basis(d, 63, 0)
         b = haar_random_basis(d, 63, 1)
         perm = list(metrics.relaxed_error(a, b).permutation)
-        starts = [a, OrthonormalBasis(vectors=b.vectors[perm].copy()),
-                  haar_random_basis(d, 63, 2), haar_random_basis(d, 63, 3)]
+        starts = [a, OrthonormalBasis(vectors=b.vectors[perm].copy())] + [
+            haar_random_basis(d, 63, r) for r in range(2, 2 + haar)]
         for iters in (0, 1, 2, 3, 5, 200):
             results = explorer._local_search(a, b, starts, iters)
             for start, (basis, value) in zip(starts, results):
@@ -338,72 +338,84 @@ class TestLocalSearch:
         assert np.array_equal(np.max(radii, axis=0), eta[rows])  # eta is one of them, bit for bit
 
     def test_round_structure(self, monkeypatch):
-        """A round without a ladder stack makes one metrics.error and one
-        metrics.disturbance call on its whole batch.  A ladder round makes one
-        metrics.error call, one bound eigensolve over its ladder rows and at
-        most one metrics.disturbance call, on its open rows."""
-        log, made = [], []
+        """The starts are one round of one metrics.error and one
+        metrics.disturbance call.  Every later round makes one metrics.error
+        call, one bound eigensolve of each row's witness frame and at most one
+        metrics.disturbance call, on exactly the rows whose bound is below
+        their bar."""
+        log = []
         descent = explorer._descent
 
-        def logged_descent(v, iters):
-            k, gen, sent = len(made), descent(v, iters), None
-            made.append(k)
+        def logged_descent(v, best, w, iters):
+            gen, sent = descent(v, best, w, iters), None
+            log.append(("start", best, w))
             try:
                 while True:
                     stack, w, bar = gen.send(sent)
-                    log.append(("stack", k, len(stack), bar < np.inf))
+                    log.append(("stack", stack, w, bar))
                     sent = yield stack, w, bar
             except StopIteration as done:
                 return done.value
 
-        def spy(module, name, rows):
+        def spy(module, name):
             real = getattr(module, name)
 
             def call(*args):
-                log.append((name, rows(args)))
-                return real(*args)
+                event = [name, args, None]
+                log.append(event)
+                event[2] = real(*args)
+                return event[2]
             monkeypatch.setattr(module, name, call)
 
         monkeypatch.setattr(explorer, "_descent", logged_descent)
-        spy(metrics, "error", lambda args: len(args[1].vectors))
-        spy(metrics, "disturbance", lambda args: len(args[0].vectors))
-        spy(metrics, "disturbance_matrix_in_frame", lambda args: len(args[0].vectors))
-        spy(linalg, "spectral_radius", lambda args: math.prod(args[0].shape[:-2]))
+        for module, name in ((metrics, "error"), (metrics, "disturbance"),
+                             (metrics, "disturbance_matrix_in_frame"), (linalg, "spectral_radius")):
+            spy(module, name)
         d = 3
         a = haar_random_basis(d, 62, 0)
         b = haar_random_basis(d, 62, 1)
-        explorer._local_search(a, b, [a, b, haar_random_basis(d, 62, 2)], 40)
-        explorer._local_search(a, b, [a], 40)  # idle from A: its ladder rows all close
-        rounds = []
-        for event in log:
-            if event[0] == "stack":
-                if not rounds or rounds[-1][1]:
-                    rounds.append(([], []))
-                rounds[-1][0].append(event[1:])
-            else:
-                rounds[-1][1].append(event)
-        assert rounds[0][0] == [(0, 1, False), (1, 1, False), (2, 1, False)]
         kinds = set()
-        for stacks, calls in rounds:
-            assert len({k for k, _, _ in stacks}) == len(stacks)
-            n = sum(size for _, size, _ in stacks)
-            ladder = sum(size for _, size, bounded in stacks if bounded)
-            assert calls[0] == ("error", n)
-            if not ladder:
-                assert calls[1:] == [("disturbance", n), ("spectral_radius", n * d)]
-                kinds.add("plain")
-                continue
-            assert calls[1:3] == [("disturbance_matrix_in_frame", ladder),
-                                  ("spectral_radius", ladder)]
-            if len(calls) == 3:
-                assert ladder == n
-                kinds.add("all closed")
-                continue
-            opened = calls[3][1]
-            assert calls[3:] == [("disturbance", opened), ("spectral_radius", opened * d)]
-            assert n - ladder <= opened <= n
-            kinds.add("mixed" if ladder < n else "some open")
-        assert kinds >= {"plain", "all closed", "mixed"}
+        for starts in ([a, b, haar_random_basis(d, 62, 2)], [a]):  # idle from A: all rows close
+            log.clear()
+            explorer._local_search(a, b, starts, 40)
+            rounds, stacks = [], []
+            for event in log:
+                if event[0] == "error":
+                    rounds.append((stacks, [event]))
+                    stacks = []
+                elif event[0] == "stack":
+                    stacks.append(event[1:])
+                elif event[0] != "start":
+                    rounds[-1][1].append(event)
+            assert not stacks
+            (first, calls), *later = rounds
+            n = len(starts)
+            assert first == []
+            assert [name for name, _, _ in calls] == ["error", "disturbance", "spectral_radius"]
+            assert len(calls[0][1][1].vectors) == len(calls[1][1][0].vectors) == n
+            eta, witnesses = calls[1][2]
+            sums = calls[0][2].value + eta
+            assert [e[1:] for e in log if e[0] == "start"] == list(zip(sums, witnesses))
+            assert [bar for _, _, bar in later[0][0]] == list(sums - 1e-15)
+            for stacks, calls in later:
+                batch = np.concatenate([stack for stack, _, _ in stacks])
+                sizes = [len(stack) for stack, _, _ in stacks]
+                w, bar = (np.repeat([s[k] for s in stacks], sizes) for k in (1, 2))
+                assert np.all(np.isfinite(bar))  # every stack is bounded
+                names = [name for name, _, _ in calls]
+                assert names[:3] == ["error", "disturbance_matrix_in_frame", "spectral_radius"]
+                assert np.array_equal(calls[0][1][1].vectors, batch)
+                assert np.array_equal(calls[1][1][0].vectors, batch)
+                assert np.array_equal(calls[1][1][2], w)
+                todo = calls[0][2].value + calls[2][2] < bar
+                if not todo.any():
+                    assert len(calls) == 3
+                    kinds.add("all closed")
+                    continue
+                assert names[3:] == ["disturbance", "spectral_radius"]
+                assert np.array_equal(calls[3][1][0].vectors, batch[todo])
+                kinds.add("open")
+        assert kinds == {"all closed", "open"}
 
 
 class TestMinimizeOverIntermediate:
@@ -529,10 +541,14 @@ class TestTrialCounts:
         with pytest.raises(ValidationError, match="trials: need at least 1"):
             explorer.verify_properties(trials=trials)
 
-    @pytest.mark.parametrize("dims", [(), (1,), (2, 17), (0, 3)])
+    @pytest.mark.parametrize("dims", [(), (1,), (2, 17), (0, 3), np.array([])])
     def test_property_dims_must_be_non_empty_and_in_range(self, dims):
         with pytest.raises(ValidationError, match=r"dims|dimension must be in \[2, 16\]"):
             explorer.verify_properties(dims=dims, trials=1)
+
+    def test_property_dims_may_be_an_array(self):
+        run = explorer.verify_properties(dims=np.array([2, 3]), trials=1)
+        assert run.checks == explorer.verify_properties(dims=(2, 3), trials=1).checks
 
 
 class TestInputRules:
