@@ -34,6 +34,10 @@ _TRIAL_BLOCK = 256
 _STEP_FLOOR = 1e-8  # the A' search ends once its step halves below this
 # The search's steps 0.2 / 2^k >= _STEP_FLOOR, indexed by level.
 _STEPS = tuple(0.2 / 2**k for k in range(int(math.log2(0.2 / _STEP_FLOOR)) + 1))
+# From this d every stack of the A' search is bounded on its witness frame,
+# below it only ladder stacks: there a plain stack's rows are few and cheap
+# to solve, and the bound's extra eigensolve call costs more than it saves.
+_BOUND_ALL_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -208,18 +212,20 @@ def _descent(v: np.ndarray, best: float, w: int, iters: int):
     """Gauss-Seidel descent of eps + eta over the geodesic moves from ``v``.
 
     ``best`` is the sum at ``v`` and ``w`` its eta-witness outcome.  Yields
-    each stack to score as (stack, w, bar), with bar = best - 1e-15 the value
-    a move must get below, and is sent its values and eta-witness outcomes; a
-    row that cannot get below the bar may be sent any value at or above it.
-    Each move of a sweep is tried from the current point in turn and taken if
-    it lowers the sum: the moves still to try are one stack, the first that
-    improves is taken and the ones after it are rescored from the new point.
-    When a sweep takes no move the step halves, down to _STEP_FLOOR.
+    each stack to score as (stack, w, bar) and is sent its values and
+    eta-witness outcomes.  Each move of a sweep is tried from the current
+    point in turn and taken if it lowers the sum: the moves still to try are
+    one stack, the first that improves is taken and the ones after it are
+    rescored from the new point.  When a sweep takes no move the step
+    halves, down to _STEP_FLOOR.
 
     After two sweeps in a row take no move, the next ones start from the same
     point, so they are yielded as one ladder stack of levels at steps s, s/2,
     ...: 2 levels, then 4, 8, ... while none improves.  The first level that
-    improves goes on as a plain sweep.
+    improves goes on as a plain sweep.  A ladder stack, and from d =
+    _BOUND_ALL_DIM every stack, comes with the current witness w and the bar
+    a value must get below; a row that cannot get below it may be sent any
+    value at or above it.  Other stacks have bar = inf.
     """
     d = v.shape[-1]
     level, sweeps, idle = 0, 0, 0  # the step is _STEPS[level]
@@ -229,7 +235,8 @@ def _descent(v: np.ndarray, best: float, w: int, iters: int):
         improved = False
         while len(moves):
             cands = v @ moves
-            vals, wits = yield cands, w, best - 1e-15
+            bar = best - 1e-15 if d >= _BOUND_ALL_DIM or idle >= 2 and not improved else np.inf
+            vals, wits = yield cands, w, bar
             hits = np.flatnonzero(vals < best - 1e-15)
             if not hits.size:
                 break
@@ -253,13 +260,15 @@ def _local_search(a: OrthonormalBasis, b: OrthonormalBasis,
     """One :func:`_descent` per start, run in lockstep rounds.
 
     The starts are scored once, as one batch.  Each later round scores the
-    stacks of every unfinished descent as one batch: one call to
-    :func:`metrics.error`, then each row's frame of its descent's witness
-    outcome w alone.  A row whose eps + R(D_w) is not below its bar gets that
-    value, which is exact since R(D_w) <= eta bit for bit and rounding is
-    monotone; only the open rows reach :func:`metrics.disturbance`.  A
-    stacked value does not depend on its place in the batch, so each
-    (basis, value) is that of the descent run alone.
+    stacks of every unfinished descent as one batch.  Without a bar that
+    takes one call to :func:`metrics.error` and one to
+    :func:`metrics.disturbance`.  Otherwise the round first solves each row
+    with a bar on the frame of its witness outcome w alone: a row whose
+    eps + R(D_w) is not below its bar gets that value, which is exact since
+    R(D_w) <= eta bit for bit and rounding is monotone, and only the open
+    rows reach :func:`metrics.disturbance`.  A stacked value does not depend
+    on its place in the batch, so each (basis, value) is that of the descent
+    run alone.
     """
     batch = OrthonormalBasis(vectors=np.stack([s.vectors for s in starts]))
     eps = metrics.error(a, batch).value
@@ -278,19 +287,28 @@ def _local_search(a: OrthonormalBasis, b: OrthonormalBasis,
         if not pending:
             return results
         stacks, ws, bars = zip(*pending.values())
-        sizes = [len(stack) for stack in stacks]
         batch = OrthonormalBasis(vectors=np.concatenate(stacks))
-        w, bar = (np.repeat(col, sizes) for col in (ws, bars))
-        eps = metrics.error(a, batch).value
-        values = eps + linalg.spectral_radius(metrics.disturbance_matrix_in_frame(batch, b, w))
-        witnesses = np.zeros(len(values), dtype=np.intp)  # unread on closed rows
-        todo = values < bar
-        if todo.any():
-            eta, witnesses[todo] = metrics.disturbance(
-                OrthonormalBasis(vectors=batch.vectors[todo]), b)
-            values[todo] = eps[todo] + eta
-        sends = {k: (values[end - n:end], witnesses[end - n:end])
-                 for k, n, end in zip(pending, sizes, np.cumsum(sizes))}
+        values = metrics.error(a, batch).value
+        if min(bars) == np.inf:  # no row to bound
+            eta, witnesses = metrics.disturbance(batch, b)
+            values = values + eta
+        else:  # bound each row with a bar on its witness frame, then score the open rows
+            witnesses = np.zeros(len(values), dtype=np.intp)  # unread on closed rows
+            w, bar = (np.repeat(col, [len(stack) for stack in stacks]) for col in (ws, bars))
+            rows = np.flatnonzero(bar < np.inf)
+            low = values[rows] + linalg.spectral_radius(metrics.disturbance_matrix_in_frame(
+                OrthonormalBasis(vectors=batch.vectors[rows]), b, w[rows]))
+            todo = np.ones(len(values), dtype=bool)
+            todo[rows] = low < bar[rows]
+            values[rows] = np.where(todo[rows], values[rows], low)
+            if todo.any():
+                eta, witnesses[todo] = metrics.disturbance(
+                    OrthonormalBasis(vectors=batch.vectors[todo]), b)
+                values[todo] += eta
+        sends, start = {}, 0
+        for k, stack in zip(pending, stacks):
+            sends[k] = values[start:start + len(stack)], witnesses[start:start + len(stack)]
+            start += len(stack)
 
 
 def minimize_over_intermediate(a: OrthonormalBasis, b: OrthonormalBasis,

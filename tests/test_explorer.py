@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -337,12 +338,16 @@ class TestLocalSearch:
             radii.append(r)
         assert np.array_equal(np.max(radii, axis=0), eta[rows])  # eta is one of them, bit for bit
 
-    def test_round_structure(self, monkeypatch):
+    @pytest.mark.parametrize("d, bound_all", [(3, False), (4, True)])
+    def test_round_structure(self, monkeypatch, d, bound_all):
         """The starts are one round of one metrics.error and one
         metrics.disturbance call.  Every later round makes one metrics.error
-        call, one bound eigensolve of each row's witness frame and at most one
-        metrics.disturbance call, on exactly the rows whose bound is below
-        their bar."""
+        call.  A round without a bar then makes one metrics.disturbance call
+        on its whole batch; otherwise it makes one bound eigensolve on the
+        witness frames of exactly its rows with a bar and at most one
+        metrics.disturbance call, on exactly the rows without a bar or whose
+        bound is below it.  At d = 3 only ladder stacks have a bar, from
+        d = 4 every stack has one."""
         log = []
         descent = explorer._descent
 
@@ -363,15 +368,15 @@ class TestLocalSearch:
             def call(*args):
                 event = [name, args, None]
                 log.append(event)
-                event[2] = real(*args)
-                return event[2]
+                result = real(*args)
+                event[2] = copy.deepcopy(result)  # the search writes into its values
+                return result
             monkeypatch.setattr(module, name, call)
 
         monkeypatch.setattr(explorer, "_descent", logged_descent)
         for module, name in ((metrics, "error"), (metrics, "disturbance"),
                              (metrics, "disturbance_matrix_in_frame"), (linalg, "spectral_radius")):
             spy(module, name)
-        d = 3
         a = haar_random_basis(d, 62, 0)
         b = haar_random_basis(d, 62, 1)
         kinds = set()
@@ -389,33 +394,42 @@ class TestLocalSearch:
                     rounds[-1][1].append(event)
             assert not stacks
             (first, calls), *later = rounds
-            n = len(starts)
             assert first == []
             assert [name for name, _, _ in calls] == ["error", "disturbance", "spectral_radius"]
-            assert len(calls[0][1][1].vectors) == len(calls[1][1][0].vectors) == n
+            assert len(calls[0][1][1].vectors) == len(calls[1][1][0].vectors) == len(starts)
             eta, witnesses = calls[1][2]
             sums = calls[0][2].value + eta
             assert [e[1:] for e in log if e[0] == "start"] == list(zip(sums, witnesses))
-            assert [bar for _, _, bar in later[0][0]] == list(sums - 1e-15)
+            assert ([bar for _, _, bar in later[0][0]]
+                    == (list(sums - 1e-15) if bound_all else [np.inf] * len(starts)))
             for stacks, calls in later:
                 batch = np.concatenate([stack for stack, _, _ in stacks])
                 sizes = [len(stack) for stack, _, _ in stacks]
                 w, bar = (np.repeat([s[k] for s in stacks], sizes) for k in (1, 2))
-                assert np.all(np.isfinite(bar))  # every stack is bounded
                 names = [name for name, _, _ in calls]
-                assert names[:3] == ["error", "disturbance_matrix_in_frame", "spectral_radius"]
                 assert np.array_equal(calls[0][1][1].vectors, batch)
-                assert np.array_equal(calls[1][1][0].vectors, batch)
-                assert np.array_equal(calls[1][1][2], w)
-                todo = calls[0][2].value + calls[2][2] < bar
+                rows = np.flatnonzero(bar < np.inf)
+                if bound_all:
+                    assert len(rows) == len(batch)
+                if not rows.size:
+                    assert names[1:] == ["disturbance", "spectral_radius"]
+                    assert np.array_equal(calls[1][1][0].vectors, batch)
+                    kinds.add("plain")
+                    continue
+                assert names[1:3] == ["disturbance_matrix_in_frame", "spectral_radius"]
+                assert np.array_equal(calls[1][1][0].vectors, batch[rows])
+                assert np.array_equal(calls[1][1][2], w[rows])
+                todo = np.ones(len(batch), dtype=bool)
+                todo[rows] = calls[0][2].value[rows] + calls[2][2] < bar[rows]
                 if not todo.any():
                     assert len(calls) == 3
                     kinds.add("all closed")
                     continue
                 assert names[3:] == ["disturbance", "spectral_radius"]
                 assert np.array_equal(calls[3][1][0].vectors, batch[todo])
-                kinds.add("open")
-        assert kinds == {"all closed", "open"}
+                kinds.add("mixed" if len(rows) < len(batch) else "open")
+        assert kinds >= ({"all closed", "open"} if bound_all
+                         else {"plain", "all closed", "mixed"})
 
 
 class TestMinimizeOverIntermediate:
