@@ -5,13 +5,14 @@ largest term, a signed Born-rule combination such as
 ``|<a_i|psi>|^2 - |<a'_i|psi>|^2`` held as the Hermitian matrix of that
 quadratic form.  One term per family makes a piece.  A quadratic form has no
 local maximum on the unit sphere that is not global, so every piece climbs
-from its own best Haar sample in one batched ascent, and none can stall in
-another piece's basin.  Several objectives over the same families (eps, eta
-and their sum) share one sample set and one ascent: each family is evaluated
-once per sample, and the pieces of all objectives climb side by side without
-changing one another's result.  2x2 and 3x3 Hermitian eigenvalues come from
-closed forms.  Nothing here ever calls the eigensolver, so agreement with the
-analytic path is evidence rather than tautology.
+from its own best Haar sample, by exact Rayleigh-quotient steps taken for all
+pieces at once, and none can stall in another piece's basin.  Several
+objectives over the same families (eps, eta and their sum) share one sample
+set and one ascent: each family is evaluated once per sample, and the pieces
+of all objectives climb side by side without changing one another's result.
+2x2 and 3x3 Hermitian eigenvalues come from closed forms.  Nothing here ever
+calls the eigensolver, so agreement with the analytic path is evidence rather
+than tautology.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import ValidationError, check_count
 from .linalg import check_hermitian, expectations, rng_from
 from .measurement import OrthonormalBasis, require_same_dim
 
-_STEP_FLOOR = 1e-10
+_RESIDUAL_FLOOR = 1e-10
 _BLOCK = 256
 
 
@@ -33,9 +34,9 @@ _BLOCK = 256
 class OracleResult:
     """Best value found and the unit vector attaining it.
 
-    ``refinement_steps`` counts sweeps of the batched refine loop; one sweep
-    tries every coordinate move of every piece still refining.  It counts
-    the sweeps until the objective's own pieces stopped (or the cap), so an
+    ``refinement_steps`` counts iterations of the batched refine loop; one
+    iteration takes one exact step for every piece still refining.  It counts
+    the steps until the objective's own pieces stopped (or the cap), so an
     objective maximized in a shared ascent (``max_all_over_states``) reports
     what it reports when maximized alone.
     """
@@ -66,12 +67,13 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
 
     Each family is evaluated once per block of Haar samples.  Every piece of
     every objective (one term from each of its families) starts from its best
-    sample, and all pieces climb together by projected coordinate ascent: each
-    sweep tries the 4*dim moves +/-step, +/-i*step on every coordinate of every
-    piece at once, keeps each piece's best improving move, and halves the step
-    of each piece that did not improve; a piece stops once its step falls
-    below 1e-10.  Pieces never interact, so an objective's result does not
-    depend on which others share the ascent.  One result per objective.
+    sample, and all pieces climb together by steepest Rayleigh-quotient ascent
+    with an exact line search.  For a piece M at psi, with g = M psi,
+    q = <psi|g> and residual r = g - q psi, each step moves psi to the top
+    eigenvector of the form restricted to span{psi, r}, which is the real 2x2
+    [[q, |r|], [|r|, <r|M|r>/|r|^2]]; a piece stops once |r| < 1e-10.  Pieces
+    never interact, so an objective's result does not depend on which others
+    share the ascent.  One result per objective.
     """
     check_count(samples, 1, "samples")
     check_count(refine_iters, 1, "refine_iters")
@@ -93,37 +95,30 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
         better = top > value
         psi[better] = draw[best[better]]
         value[better] = top[better]
-    # Each move adds +/-step to the real or imaginary part of one coordinate;
-    # on the float view of psi that is one entry of +/-1 per row.
-    moves = np.concatenate([u * np.eye(dim) for u in (1.0, -1.0, 1.0j, -1.0j)])
-    moves = moves.view(np.float64)
-    # The live pieces are held compacted; a piece leaves when its step drops
-    # below the floor, and last[p] is the sweep in which it left.
-    live, mats, at, val = every, pieces, psi, value
-    step = np.full(len(pieces), 0.1)
+    # The live pieces are held compacted; a piece leaves once its residual
+    # drops below the floor, and last[p] is the number of steps it took.
+    live, mats, at = every, pieces, psi
     last = np.zeros(len(pieces), dtype=int)
-    rows = every
-    sweeps = 0
-    while live.size and sweeps < refine_iters:
-        cand = at.view(np.float64)[:, None, :] + step[:, None, None] * moves
-        cand = cand.view(np.complex128)
-        # The bits of cand /= np.linalg.norm(cand, ...), with fewer passes.
-        cand *= 1.0 / np.sqrt((cand.conj() * cand).real.sum(axis=2, keepdims=True))
-        vals = expectations(mats, cand)
-        best = vals.argmax(axis=1)
-        top = vals[rows, best]
-        gain = top > val
-        np.copyto(at, cand[rows, best], where=gain[:, None])
-        np.copyto(val, top, where=gain)
-        np.multiply(step, 0.5, out=step, where=~gain)
-        sweeps += 1
-        keep = step >= _STEP_FLOOR
+    steps = 0
+    while live.size and steps < refine_iters:
+        g = (mats @ at[:, :, None])[:, :, 0]
+        q = (at.conj() * g).real.sum(axis=1)
+        r = g - q[:, None] * at
+        size = np.sqrt((r.conj() * r).real.sum(axis=1))
+        keep = size >= _RESIDUAL_FLOOR
         if not keep.all():
-            psi[live], last[live] = at, sweeps
-            live, mats, at, val, step = (
-                live[keep], mats[keep], at[keep], val[keep], step[keep])
-            rows = rows[:live.size]
-    psi[live], last[live] = at, sweeps
+            psi[live], last[live] = at, steps
+            live, mats, at, q, r, size = (
+                live[keep], mats[keep], at[keep], q[keep], r[keep], size[keep])
+            if not live.size:
+                break
+        r /= size[:, None]
+        b = expectations(mats, r[:, None])[:, 0]
+        # Top eigenvector of the form on span{psi, r}: [[q, |r|], [|r|, b]].
+        theta = 0.5 * np.arctan2(2.0 * size, q - b)
+        at = np.cos(theta)[:, None] * at + np.sin(theta)[:, None] * r
+        steps += 1
+    psi[live], last[live] = at, steps
     results = []
     ends = np.cumsum([len(g) for g in groups])[:-1]
     for obj, part, stops in zip(objectives, np.split(psi, ends), np.split(last, ends)):

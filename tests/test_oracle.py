@@ -106,7 +106,7 @@ class TestMaxSumOverStates:
 
     @pytest.mark.parametrize("refine_iters", [0, -4])
     def test_refinement_below_one_sweep_rejected(self, refine_iters):
-        # with no sweep the result is the unrefined best sample: 0.805, against 0.922
+        # with no step the result is the unrefined best sample: 0.805, against 0.922
         a, ap = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
         with pytest.raises(ValidationError, match="refine_iters: need at least 1"):
             oracle.max_error_over_states(a, ap, 50, refine_iters, 0)
@@ -148,9 +148,10 @@ class TestMaximizers:
 
 
 class TestSharedAscent:
-    @pytest.mark.parametrize("refine_iters", [200, 3])
+    @pytest.mark.parametrize("refine_iters", [200, 1])
     def test_matches_the_separate_entry_points(self, refine_iters):
-        # 200 is the oracle-check default; a cap of 3 stops the ascent early.
+        # 200 is the oracle-check default; a cap of 1 stops the ascent after
+        # one exact step, which is before convergence at every d above 2.
         for d in (2, 3, 4, 5):
             for seed in range(3):
                 a, ap, b = random_triple(d, 70 * d + seed)
@@ -164,25 +165,50 @@ class TestSharedAscent:
                     assert np.array_equal(one.maximizer, alone.maximizer)
                     assert one.samples_used == alone.samples_used
                     assert one.refinement_steps == alone.refinement_steps
-                    if refine_iters == 3:
+                    if refine_iters == 1:
                         # the cap, not convergence, ended the ascent
-                        assert one.refinement_steps == 3
+                        assert one.refinement_steps == 1
+
+
+class TestExactStep:
+    def test_one_step_spans_the_qubit_sphere(self):
+        # At d = 2, span{psi, r} is the whole space: one step lands on the top
+        # eigenvector, and the next iteration finds no residual.
+        for seed in range(10):
+            a, ap, b = random_triple(2, 300 + seed)
+            m = random_hermitian(2, 320 + seed)
+            for out in (oracle.max_expectation(m, 200, 200, seed),
+                        *oracle.max_all_over_states(a, ap, b, 200, 200, seed)):
+                assert out.refinement_steps <= 1
+                assert abs(np.linalg.norm(out.maximizer) - 1.0) <= 1e-12
+
+
+def _analytic_and_sampled(a, ap, b, seed):
+    """(analytic, oracle result) for eps, eta and delta at the CLI defaults."""
+    return ((metrics.error(a, ap).value,
+             oracle.max_error_over_states(a, ap, 2000, 200, seed)),
+            (metrics.disturbance(ap, b).value,
+             oracle.max_disturbance_over_states(ap, b, 2000, 200, seed)),
+            (metrics.overall_error(a, ap, b).value,
+             oracle.max_sum_over_states(a, ap, b, 2000, 200, seed)))
 
 
 class TestAnalyticValuesAtD4:
     def test_every_objective_reaches_its_analytic_value(self):
         for seed in range(20):
             a, ap, b = random_triple(4, 4000 + seed)
-            pairs = (
-                (metrics.error(a, ap).value,
-                 oracle.max_error_over_states(a, ap, 2000, 200, seed)),
-                (metrics.disturbance(ap, b).value,
-                 oracle.max_disturbance_over_states(ap, b, 2000, 200, seed)),
-                (metrics.overall_error(a, ap, b).value,
-                 oracle.max_sum_over_states(a, ap, b, 2000, 200, seed)),
-            )
-            for analytic, sampled in pairs:
+            for analytic, sampled in _analytic_and_sampled(a, ap, b, seed):
                 assert sampled.value == pytest.approx(analytic, abs=1e-9)
+
+
+class TestAnalyticValuesAboveD4:
+    @pytest.mark.parametrize("d", [5, 6, 8])
+    def test_every_objective_reaches_its_analytic_value(self, d):
+        for seed in range(3):
+            a, ap, b = random_triple(d, 5000 + 10 * d + seed)
+            for analytic, sampled in _analytic_and_sampled(a, ap, b, seed):
+                assert analytic - 1e-9 <= sampled.value <= analytic + 1e-9
+                assert abs(np.linalg.norm(sampled.maximizer) - 1.0) <= 1e-12
 
 
 class TestClosedFormEigenvalues:
