@@ -110,13 +110,14 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
             psi[live], last[live] = at, steps
             live, mats, at, q, r, size = (
                 live[keep], mats[keep], at[keep], q[keep], r[keep], size[keep])
-            if not live.size:
-                break
         r /= size[:, None]
         b = expectations(mats, r[:, None])[:, 0]
         # Top eigenvector of the form on span{psi, r}: [[q, |r|], [|r|, b]].
         theta = 0.5 * np.arctan2(2.0 * size, q - b)
         at = np.cos(theta)[:, None] * at + np.sin(theta)[:, None] * r
+        # Back onto the sphere: off it, r picks up a component along psi that
+        # the step would feed back into |psi|, and the drift grows.
+        at /= np.linalg.norm(at, axis=1, keepdims=True)
         steps += 1
     psi[live], last[live] = at, steps
     results = []
