@@ -3,13 +3,13 @@
 Each sampled objective is the sum over one or two families of the family's
 largest term, a signed Born-rule combination such as
 ``|<a_i|psi>|^2 - |<a'_i|psi>|^2`` held as the Hermitian matrix of that
-quadratic form.  One term per family makes a piece.  A quadratic form has no
-local maximum on the unit sphere that is not global, so every piece climbs
-from its own best Haar sample, by exact Rayleigh-quotient steps taken for all
-pieces at once, and none can stall in another piece's basin.  Several
-objectives over the same families (eps, eta and their sum) share one sample
-set and one ascent: each family is evaluated once per sample, and the pieces
-of all objectives climb side by side without changing one another's result.
+quadratic form.  One term per family makes a piece.  Every piece climbs from
+its own best Haar sample, by the power method on its shifted matrix, squared
+at every step, taken for all pieces at once, so none can stall in another
+piece's basin.  Several objectives over the same families (eps, eta and their
+sum) share one sample set and one ascent: each family is evaluated once per
+sample, and the pieces of all objectives climb side by side without changing
+one another's result.
 2x2 and 3x3 Hermitian eigenvalues come from closed forms.  Nothing here ever
 calls the eigensolver, so agreement with the analytic path is evidence rather
 than tautology.
@@ -35,10 +35,10 @@ class OracleResult:
     """Best value found and the unit vector attaining it.
 
     ``refinement_steps`` counts iterations of the batched refine loop; one
-    iteration takes one exact step for every piece still refining.  It counts
-    the steps until the objective's own pieces stopped (or the cap), so an
-    objective maximized in a shared ascent (``max_all_over_states``) reports
-    what it reports when maximized alone.
+    iteration squares the shifted matrix of every piece still refining.  It
+    counts the steps until the objective's own pieces stopped (or the cap), so
+    an objective maximized in a shared ascent (``max_all_over_states``)
+    reports what it reports when maximized alone.
     """
     value: float
     maximizer: np.ndarray
@@ -67,13 +67,15 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
 
     Each family is evaluated once per block of Haar samples.  Every piece of
     every objective (one term from each of its families) starts from its best
-    sample, and all pieces climb together by steepest Rayleigh-quotient ascent
-    with an exact line search.  For a piece M at psi, with g = M psi,
-    q = <psi|g> and residual r = g - q psi, each step moves psi to the top
-    eigenvector of the form restricted to span{psi, r}, which is the real 2x2
-    [[q, |r|], [|r|, <r|M|r>/|r|^2]]; a piece stops once |r| < 1e-10.  Pieces
-    never interact, so an objective's result does not depend on which others
-    share the ascent.  One result per objective.
+    sample, and all pieces climb together by the power method with repeated
+    squaring.  A piece M starts with S = M/|M|_F + I (S = I for M = 0), which
+    is positive semidefinite because |M|_F >= |lambda_min|; each step sets
+    psi <- S psi/|S psi| and S <- S^2/|S^2|_F, so after k steps psi is
+    S^(2^k - 1) psi_0 normalised.  Since S >= 0 shares M's eigenvectors, the
+    Rayleigh quotient of S^p psi_0 never falls as p grows.  A piece stops once
+    its residual r = M psi - <psi|M|psi> psi has |r| < 1e-10.  Pieces never
+    interact, so an objective's result does not depend on which others share
+    the ascent.  One result per objective.
     """
     check_count(samples, 1, "samples")
     check_count(refine_iters, 1, "refine_iters")
@@ -97,6 +99,8 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
         value[better] = top[better]
     # The live pieces are held compacted; a piece leaves once its residual
     # drops below the floor, and last[p] is the number of steps it took.
+    norm = np.linalg.norm(pieces, axis=(1, 2))
+    shift = pieces / np.where(norm > 0, norm, 1.0)[:, None, None] + np.eye(dim)
     live, mats, at = every, pieces, psi
     last = np.zeros(len(pieces), dtype=int)
     steps = 0
@@ -104,20 +108,14 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
         g = (mats @ at[:, :, None])[:, :, 0]
         q = (at.conj() * g).real.sum(axis=1)
         r = g - q[:, None] * at
-        size = np.sqrt((r.conj() * r).real.sum(axis=1))
-        keep = size >= _RESIDUAL_FLOOR
+        keep = np.linalg.norm(r, axis=1) >= _RESIDUAL_FLOOR
         if not keep.all():
             psi[live], last[live] = at, steps
-            live, mats, at, q, r, size = (
-                live[keep], mats[keep], at[keep], q[keep], r[keep], size[keep])
-        r /= size[:, None]
-        b = expectations(mats, r[:, None])[:, 0]
-        # Top eigenvector of the form on span{psi, r}: [[q, |r|], [|r|, b]].
-        theta = 0.5 * np.arctan2(2.0 * size, q - b)
-        at = np.cos(theta)[:, None] * at + np.sin(theta)[:, None] * r
-        # Back onto the sphere: off it, r picks up a component along psi that
-        # the step would feed back into |psi|, and the drift grows.
+            live, mats, shift, at = live[keep], mats[keep], shift[keep], at[keep]
+        at = (shift @ at[:, :, None])[:, :, 0]
         at /= np.linalg.norm(at, axis=1, keepdims=True)
+        shift = shift @ shift
+        shift /= np.linalg.norm(shift, axis=(1, 2))[:, None, None]
         steps += 1
     psi[live], last[live] = at, steps
     results = []

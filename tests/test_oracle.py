@@ -151,7 +151,7 @@ class TestSharedAscent:
     @pytest.mark.parametrize("refine_iters", [200, 1])
     def test_matches_the_separate_entry_points(self, refine_iters):
         # 200 is the oracle-check default; a cap of 1 stops the ascent after
-        # one exact step, which is before convergence at every d above 2.
+        # one squaring, which is before convergence at every d.
         for d in (2, 3, 4, 5):
             for seed in range(3):
                 a, ap, b = random_triple(d, 70 * d + seed)
@@ -170,22 +170,44 @@ class TestSharedAscent:
                         assert one.refinement_steps == 1
 
 
-class TestExactStep:
-    def test_one_step_spans_the_qubit_sphere(self):
-        # At d = 2, span{psi, r} is the whole space: one step lands on the top
-        # eigenvector, and the next iteration finds no residual.
-        for seed in range(10):
-            a, ap, b = random_triple(2, 300 + seed)
-            m = random_hermitian(2, 320 + seed)
-            for out in (oracle.max_expectation(m, 200, 200, seed),
-                        *oracle.max_all_over_states(a, ap, b, 200, 200, seed)):
-                assert out.refinement_steps <= 1
+class TestRefineLoop:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 12, 16])
+    def test_squaring_converges_in_a_few_steps(self, d):
+        # Squaring S = M/|M|_F + I converges doubly exponentially, so a
+        # handful of steps suffices whatever the gaps in the pieces' spectra.
+        for seed in range(3):
+            a, ap, b = random_triple(d, 360 + 10 * d + seed)
+            for out in oracle.max_all_over_states(a, ap, b, 2000, 200, seed):
+                assert out.refinement_steps <= 16
                 assert abs(np.linalg.norm(out.maximizer) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-6, 1e-9])
+    def test_a_near_tie_at_the_top_does_not_stall(self, gap):
+        # Each squaring squares the ratio of S's top two eigenvalues, so a
+        # near tie costs a few more steps, not a stall short of the top.
+        for d in (4, 8, 16):
+            for seed in range(3):
+                u = haar_random_basis(d, 380 + d, seed).vectors.T
+                rest = np.random.default_rng([380 + d, seed]).uniform(-0.5, 0.5, d - 2)
+                m = (u * np.concatenate([[1.0, 1.0 - gap], rest])) @ u.conj().T
+                out = oracle.max_expectation(0.5 * (m + m.conj().T), 2000, 200, seed)
+                assert 1.0 - 1e-10 <= out.value <= 1.0 + 1e-12
+                assert out.refinement_steps < 64
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_each_step_ascends(self, d):
+        # S is positive semidefinite and shares M's eigenvectors, so the
+        # Rayleigh quotient of S^p psi_0 never falls as p grows.  One sample:
+        # the climb starts from a random vector.
+        m = random_hermitian(d, 390 + d)
+        values = [oracle._maximize((m[None],), ((0,),), d, 1, cap, d)[0].value
+                  for cap in range(1, 13)]
+        assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
+
     def test_a_shift_keeps_the_step_on_the_sphere(self):
-        # Off the unit sphere the residual r picks up a component along psi
-        # that scales with a shift m -> m + cI, so any drift in |psi| would
-        # show here as a value above the spectral radius.
+        # A shift m -> m + cI changes S = M/|M|_F + I; any drift of psi off
+        # the unit sphere would show here as a value above the spectral
+        # radius.
         for d in range(4, 9):
             for seed in range(5):
                 m = random_hermitian(d, 340 + 10 * d + seed) + 5.0 * np.eye(d)
