@@ -10,6 +10,11 @@ piece's basin.  Several objectives over the same families (eps, eta and their
 sum) share one sample set and one ascent: each family is evaluated once per
 sample, and the pieces of all objectives climb side by side without changing
 one another's result.
+Every family is a signed pair [M; -M], held and scored as its + half M only:
+negation is exact in floating point, so the - half's values are the
+negations of the + half's.  The Haar sample set of a key (dim, samples,
+seed, stream) is drawn once and kept until another key is drawn, so the
+entry points called in turn on one key (as ``oracle-check`` does) share it.
 2x2 and 3x3 Hermitian eigenvalues come from closed forms.  Nothing here ever
 calls the eigensolver, so agreement with the analytic path is evidence rather
 than tautology.
@@ -17,6 +22,7 @@ than tautology.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +44,9 @@ class OracleResult:
     iteration squares the shifted matrix of every piece still refining.  It
     counts the steps until the objective's own pieces stopped (or the cap), so
     an objective maximized in a shared ascent (``max_all_over_states``)
-    reports what it reports when maximized alone.
+    reports what it reports when maximized alone.  ``samples_used`` counts
+    the samples this call scored, whether it drew them or reused the draw of
+    an earlier call on the same key.
     """
     value: float
     maximizer: np.ndarray
@@ -46,10 +54,10 @@ class OracleResult:
     refinement_steps: int
 
 
-def _signed_terms(coeffs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Matrices of +/- sum_k coeffs[t, k] |<v_k|psi>|^2 over rows t, + first."""
-    m = np.einsum("tk,ki,kj->tij", coeffs, vectors, vectors.conj())
-    return np.concatenate([m, -m])
+def _terms(coeffs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Matrices of sum_k coeffs[t, k] |<v_k|psi>|^2 over rows t: the + half of
+    a family whose - half is their negation."""
+    return np.einsum("tk,ki,kj->tij", coeffs, vectors, vectors.conj())
 
 
 def _pieces(parts):
@@ -60,16 +68,37 @@ def _pieces(parts):
     return out
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _haar_states(dim: int, samples: int, seed: int, *stream: int) -> np.ndarray:
+    """Read-only ``(samples, dim)`` Haar-random unit vectors from
+    ``rng_from(seed, *stream)``, drawn per block of ``_BLOCK`` (real parts,
+    then imaginary parts).  The last key's array is kept; ``typed`` keeps a
+    seed of 1.0 from hitting the entry of 1, so it still fails validation.
+    """
+    rng = rng_from(seed, *stream)
+    states = np.empty((samples, dim), dtype=np.complex128)
+    for start in range(0, samples, _BLOCK):
+        n = min(_BLOCK, samples - start)
+        draw = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        states[start:start + n] = draw / np.linalg.norm(draw, axis=1, keepdims=True)
+    states.flags.writeable = False
+    return states
+
+
 def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
               seed: int, *stream: int) -> list[OracleResult]:
     """Maximum over unit vectors of each objective: the sum over its families
     (a tuple of indices into ``families``) of the family's largest term.
+    Each family is given by its + half M and stands for the signed pair
+    [M; -M], so its largest term at psi is max |<psi|M|psi>|.
 
-    Each family is evaluated once per block of Haar samples.  Every piece of
-    every objective (one term from each of its families) starts from its best
-    sample, and all pieces climb together by the power method with repeated
-    squaring.  A piece M starts with S = M/|M|_F + I (S = I for M = 0), which
-    is positive semidefinite because |M|_F >= |lambda_min|; each step sets
+    The Haar samples come from ``_haar_states``, drawn once per key.  Each
+    family's + half is evaluated once per block of samples, and its - half
+    scores the negated values.  Every piece of every objective (one term
+    from each of its families) starts from its best sample, and all pieces
+    climb together by the power method with repeated squaring.  A piece M
+    starts with S = M/|M|_F + I (S = I for M = 0), which is positive
+    semidefinite because |M|_F >= |lambda_min|; each step sets
     psi <- S psi/|S psi| and S <- S^2/|S^2|_F, so after k steps psi is
     S^(2^k - 1) psi_0 normalised.  Since S >= 0 shares M's eigenvectors, the
     Rayleigh quotient of S^p psi_0 never falls as p grows.  A piece stops once
@@ -79,17 +108,21 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
     """
     check_count(samples, 1, "samples")
     check_count(refine_iters, 1, "refine_iters")
-    groups = [_pieces([families[f] for f in obj]) for obj in objectives]
+    signed = [np.concatenate([m, -m]) for m in families]
+    groups = [_pieces([signed[f] for f in obj]) for obj in objectives]
     pieces = np.concatenate(groups)
     every = np.arange(len(pieces))
     psi = np.zeros((len(pieces), dim), dtype=np.complex128)
     value = np.full(len(pieces), -np.inf)
-    rng = rng_from(seed, *stream)
+    try:
+        states = _haar_states(dim, samples, seed, *stream)
+    except TypeError:  # an unhashable key; rng_from names the bad entry
+        rng_from(seed, *stream)
+        raise
     for start in range(0, samples, _BLOCK):
-        n = min(_BLOCK, samples - start)
-        draw = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-        draw /= np.linalg.norm(draw, axis=1, keepdims=True)
-        per_family = [expectations(family, draw) for family in families]
+        draw = states[start:start + _BLOCK]
+        plus = [expectations(m, draw) for m in families]
+        per_family = [np.concatenate([v, -v]) for v in plus]
         vals = np.concatenate([_pieces([per_family[f] for f in obj])
                                for obj in objectives])
         best = np.argmax(vals, axis=1)
@@ -121,7 +154,8 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
     results = []
     ends = np.cumsum([len(g) for g in groups])[:-1]
     for obj, part, stops in zip(objectives, np.split(psi, ends), np.split(last, ends)):
-        total = sum(np.max(expectations(families[f], part), axis=0) for f in obj)
+        total = sum(np.max(np.abs(expectations(families[f], part)), axis=0)
+                    for f in obj)
         k = int(np.argmax(total))
         results.append(OracleResult(value=float(total[k]), maximizer=part[k],
                                     samples_used=samples,
@@ -133,22 +167,21 @@ def max_expectation(m: np.ndarray, samples: int, refine_iters: int,
                     seed: int, *stream: int) -> OracleResult:
     """Sampled maximum of |<psi|m|psi>| over unit vectors (Hermitian m)."""
     h = check_hermitian(m)
-    return _maximize((np.stack([h, -h]),), ((0,),), h.shape[0], samples,
+    return _maximize((h[None],), ((0,),), h.shape[0], samples,
                      refine_iters, seed, *stream)[0]
 
 
 def _error_terms(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
     # eps_psi = max_i | |<a_i|psi>|^2 - |<a'_i|psi>|^2 |
     eye = np.eye(a.dim)
-    return _signed_terms(np.hstack([eye, -eye]), np.vstack([a.vectors, ap.vectors]))
+    return _terms(np.hstack([eye, -eye]), np.vstack([a.vectors, ap.vectors]))
 
 
 def _disturbance_terms(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
     # eta_psi = max_j | |<b_j|psi>|^2 - sum_k w_jk |<a'_k|psi>|^2 |,
     # with w_jk = |<b_j|a'_k>|^2
     w = np.abs(b.gram(ap)) ** 2
-    return _signed_terms(np.hstack([np.eye(b.dim), -w]),
-                         np.vstack([b.vectors, ap.vectors]))
+    return _terms(np.hstack([np.eye(b.dim), -w]), np.vstack([b.vectors, ap.vectors]))
 
 
 def _triple_terms(a: OrthonormalBasis, ap: OrthonormalBasis,

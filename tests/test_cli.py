@@ -393,3 +393,22 @@ class TestOracleCheck:
         row = payload["instances"][0]
         for name in ("epsilon", "eta", "delta"):
             assert -1e-4 <= row[name + "_oracle"] - row[name] <= 1e-9
+
+
+class TestOracleRerunInOneProcess:
+    def test_each_argv_prints_the_bytes_of_a_fresh_process(self, capsys):
+        # The oracle keeps the last sample set it drew; no call may depend on
+        # what an earlier call left there.
+        argv = ["oracle-check", "--dim", "3", "--trials", "2", "--samples", "300",
+                "--refine-iters", "50", "--seed"]
+        src = str(Path(qtradeoff.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        fresh = {seed: subprocess.run([sys.executable, "-m", "qtradeoff", *argv, seed],
+                                      capture_output=True, text=True, env=env,
+                                      timeout=60).stdout
+                 for seed in ("4", "5")}
+        assert fresh["4"] and fresh["4"] != fresh["5"]
+        for seed in ("4", "4", "5", "4", "5"):
+            assert cli.run([*argv, seed]) == cli.EXIT_OK
+            assert capsys.readouterr().out == fresh[seed]

@@ -260,3 +260,15 @@ class TestHaarSampling:
         for moments in (plain, rotated):
             assert abs(np.mean(moments) - 1.0 / d) < 0.02
             assert abs(np.mean(moments**2) - 2.0 / (d * (d + 1))) < 0.02
+
+
+class TestExpectationsOfNegation:
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_negating_the_matrix_negates_every_value_exactly(self, d):
+        # The oracle scores only the + half of each signed family [M; -M].
+        terms = np.array([random_hermitian(d, 40 * d + t) for t in range(3)])
+        states = np.array([linalg.haar_unit_vector(d, 41, d, s) for s in range(300)])
+        assert np.array_equal(linalg.expectations(-terms, states),
+                              -linalg.expectations(terms, states))
+        assert np.array_equal(linalg.expectations(-terms, np.broadcast_to(states, (3, 300, d))),
+                              -linalg.expectations(terms, np.broadcast_to(states, (3, 300, d))))

@@ -541,3 +541,48 @@ class TestTradeoffReport:
         assert achieved == pytest.approx(rep.delta, abs=1e-9)
         # the witness is a genuine lower bound through the state-dependent path
         assert rep.delta >= achieved - 1e-9
+
+
+class TestDeltaFloorNearTheTarget:
+    def test_delta_falls_below_the_floor_next_to_a_at_d3(self):
+        # At A' = A every E_i vanishes, so delta'(A; X) = max_i |<H_i, X>| +
+        # <G, X> for the active eta piece (outcome j, eigenvector v, sign
+        # sigma), with <M, X> = Re tr(M X).  At d >= 3 the H_i do not span the
+        # off-diagonal X, and X = -(G minus its projection onto span{H_i})
+        # lowers delta at first order; eps' = |X|_c is a norm, so eps + eta
+        # cannot fall.  The delta >= f half of the conjecture fails here.
+        a, b = computational_basis(3), haar_random_basis(3, 0, 1)
+        floor = metrics.conjecture_floor(a, b)
+        eta = metrics.disturbance(a, b)
+        assert floor == eta.value  # eta < relaxed eps on this pair
+        lam, vecs = np.linalg.eigh(metrics.disturbance_matrices(a, b)[eta.index])
+        top = int(np.argmax(np.abs(lam)))
+        sigma, v = np.sign(lam[top]), vecs[:, top]
+        vv = np.outer(v, v.conj())
+        p_j = np.outer(b.vectors[eta.index], b.vectors[eta.index].conj())
+
+        def comm(x, y):
+            return x @ y - y @ x
+
+        def dephase(m):
+            return np.diag(np.diag(m))
+
+        h = [-1j * comm(np.outer(ai, ai.conj()), vv) for ai in a.vectors]
+        g = sigma * (-1j * comm(dephase(p_j), vv) + 1j * comm(p_j, dephase(vv)))
+        real = np.array([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in (*h, g)])
+        coef = np.linalg.lstsq(real[:-1].T, real[-1], rcond=None)[0]
+        x = -(g - np.tensordot(coef, h, axes=1))
+        x = 0.5 * (x + x.conj().T)
+        x *= math.sqrt(2) / np.linalg.norm(x)
+        w, u = np.linalg.eigh(x)
+        move = (u * np.exp(1e-3j * w)) @ u.conj().T
+        ap = OrthonormalBasis(vectors=(move @ a.vectors.T).T)
+
+        delta = metrics.overall_error(a, ap, b).value
+        e, dm = metrics.error_matrices(a, ap), metrics.disturbance_matrices(ap, b)
+        closed = max(np.max(np.abs(oracle.eig3_closed(ei + s * dj)))
+                     for ei in e for dj in dm for s in (1, -1))
+        assert delta < floor - 1e-6
+        assert closed < floor - 1e-6
+        assert abs(delta - closed) <= 1e-12
+        assert metrics.error(a, ap).value + metrics.disturbance(ap, b).value >= floor

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -279,3 +281,77 @@ class TestConvergence:
                 if not (r - 1e-4 <= out.value <= r + 1e-9):
                     failures += 1
         assert failures == 0
+
+
+def _fields(out):
+    return out.value, out.maximizer.tobytes(), out.samples_used, out.refinement_steps
+
+
+class TestSampleCache:
+    # One oracle-check trial calls three entry points on one key; the first
+    # draws the sample set and the others reuse it.
+    def calls(self, d, seed):
+        a, ap, b = random_triple(d, 80 + seed)
+        m = random_hermitian(d, 81 + seed)
+        draw = (300, 50, seed, 2, 3)
+        return {
+            "expectation": lambda: (oracle.max_expectation(m, *draw),),
+            "error": lambda: (oracle.max_error_over_states(a, ap, *draw),),
+            "disturbance": lambda: (oracle.max_disturbance_over_states(ap, b, *draw),),
+            "sum": lambda: (oracle.max_sum_over_states(a, ap, b, *draw),),
+            "all": lambda: oracle.max_all_over_states(a, ap, b, *draw),
+        }
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_cold_and_warm_calls_agree_in_any_order(self, d):
+        calls = self.calls(d, d)
+        cold = {}
+        for name, call in calls.items():
+            oracle._haar_states.cache_clear()
+            cold[name] = [_fields(out) for out in call()]
+        for order in itertools.permutations(calls):
+            oracle._haar_states.cache_clear()
+            for name in order:
+                assert [_fields(out) for out in calls[name]()] == cold[name]
+
+    def test_a_float_seed_after_its_integer_is_still_rejected(self):
+        a, ap = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
+        oracle.max_error_over_states(a, ap, 50, 10, 1)
+        with pytest.raises(ValidationError, match=r"^seed: need an integer, got 1\.0$"):
+            oracle.max_error_over_states(a, ap, 50, 10, 1.0)
+        with pytest.raises(ValidationError, match=r"^sub-stream index: need an integer"):
+            oracle.max_error_over_states(a, ap, 50, 10, 1, 2.0)
+
+    @pytest.mark.parametrize("key, error", [(([1],), "seed: need an integer, got [1]"),
+                                            ((1, {}), "sub-stream index: need an integer")])
+    def test_an_unhashable_key_is_rejected_as_invalid(self, key, error):
+        a, ap = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
+        with pytest.raises(ValidationError, match=f"^{re.escape(error)}"):
+            oracle.max_error_over_states(a, ap, 50, 10, *key)
+
+    def test_numpy_integer_keys_give_the_results_of_plain_ints(self):
+        a, ap, b = random_triple(3, 85)
+        n = np.int64
+        plain = [_fields(out) for out in oracle.max_all_over_states(a, ap, b, 257, 50, 3, 1)]
+        for _ in ("cold", "warm"):  # typed: the numpy key has an entry of its own
+            numpy = oracle.max_all_over_states(a, ap, b, n(257), n(50), n(3), n(1))
+            assert [_fields(out) for out in numpy] == plain
+
+    def test_the_kept_sample_set_is_read_only(self):
+        states = oracle._haar_states(3, 300, 0, 1)
+        assert states.shape == (300, 3) and not states.flags.writeable
+        with pytest.raises(ValueError):
+            states[0, 0] = 1.0
+        assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-15, rtol=0)
+        # the maximizer handed out is a copy the caller may change
+        out = oracle.max_expectation(random_hermitian(3, 86), 300, 50, 0, 1)
+        out.maximizer[0] = 0.0
+
+    def test_draw_order_is_per_block_real_then_imaginary(self):
+        # samples 1001 ends on a partial block of 233
+        rng = linalg.rng_from(5, 0, 3)
+        blocks = []
+        for n in (256, 256, 256, 233):
+            g = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+            blocks.append(g / np.linalg.norm(g, axis=1, keepdims=True))
+        assert np.array_equal(oracle._haar_states(8, 1001, 5, 0, 3), np.concatenate(blocks))
