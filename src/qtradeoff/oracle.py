@@ -2,14 +2,15 @@
 
 Each sampled objective is the sum over one or two families of the family's
 largest term, a signed Born-rule combination such as
-``|<a_i|psi>|^2 - |<a'_i|psi>|^2`` held as the Hermitian matrix of that
-quadratic form.  One term per family makes a piece.  Every piece climbs from
-its own best Haar sample, by the power method on its shifted matrix, squared
-at every step, taken for all pieces at once, so none can stall in another
-piece's basin.  Several objectives over the same families (eps, eta and their
-sum) share one sample set and one ascent: each family is evaluated once per
-sample, and the pieces of all objectives climb side by side without changing
-one another's result.
+``|<a_i|psi>|^2 - |<a'_i|psi>|^2``.  The Haar samples are scored in that
+Born form; the ascent and the final values use the Hermitian matrix of the
+same quadratic form.  One term per family makes a piece.  Every piece climbs
+from its own best Haar sample, by the power method on its shifted matrix,
+squared at every step, taken for all pieces at once, so none can stall in
+another piece's basin.  Several objectives over the same families (eps, eta
+and their sum) share one sample set and one ascent: each family is scored
+once per sample, and the pieces of all objectives climb side by side without
+changing one another's result.
 Every family is a signed pair [M; -M], held and scored as its + half M only:
 negation is exact in floating point, so the - half's values are the
 negations of the + half's.  The Haar sample set of a key (dim, samples,
@@ -34,6 +35,12 @@ from .measurement import OrthonormalBasis, require_same_dim
 
 _RESIDUAL_FLOOR = 1e-10
 _BLOCK = 256
+# Scores per pass over the samples: a pass scores every piece on a chunk of
+# max(_BLOCK, _CHUNK_SCORES // pieces) samples, so few pieces take few
+# passes.  The budget keeps a pass's arrays under the 128 KB past which
+# glibc's malloc maps fresh pages: at 2**14, each eps or eta call at d = 4
+# page-faulted on its 256 KB arrays.
+_CHUNK_SCORES = 2**12
 
 
 @dataclass(frozen=True)
@@ -54,10 +61,17 @@ class OracleResult:
     refinement_steps: int
 
 
-def _terms(coeffs: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Matrices of sum_k coeffs[t, k] |<v_k|psi>|^2 over rows t: the + half of
-    a family whose - half is their negation."""
-    return np.einsum("tk,ki,kj->tij", coeffs, vectors, vectors.conj())
+def _family(coeffs: np.ndarray, vectors: np.ndarray) -> tuple:
+    """The terms sum_k coeffs[t, k] |<v_k|psi>|^2 over rows t, the + half of a
+    family whose - half is their negation, as (matrices, coeffs, vectors):
+    the matrices for the ascent, the Born form for scoring samples."""
+    return np.einsum("tk,ki,kj->tij", coeffs, vectors, vectors.conj()), coeffs, vectors
+
+
+def _born_scores(coeffs: np.ndarray, vectors: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """(t, s) values of a family's Born form on states ``draw`` (s, d)."""
+    amp = vectors.conj() @ draw.T
+    return coeffs @ (amp.real ** 2 + amp.imag ** 2)
 
 
 def _pieces(parts):
@@ -89,12 +103,14 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
               seed: int, *stream: int) -> list[OracleResult]:
     """Maximum over unit vectors of each objective: the sum over its families
     (a tuple of indices into ``families``) of the family's largest term.
-    Each family is given by its + half M and stands for the signed pair
-    [M; -M], so its largest term at psi is max |<psi|M|psi>|.
+    Each family is given by its + half M, as (M, coeffs, vectors) with the
+    Born form of M, and stands for the signed pair [M; -M], so its largest
+    term at psi is max |<psi|M|psi>|.
 
     The Haar samples come from ``_haar_states``, drawn once per key.  Each
-    family's + half is evaluated once per block of samples, and its - half
-    scores the negated values.  Every piece of every objective (one term
+    family's + half is scored in its Born form once per chunk of
+    max(_BLOCK, _CHUNK_SCORES // pieces) samples, and its - half scores the
+    negated values.  Every piece of every objective (one term
     from each of its families) starts from its best sample, and all pieces
     climb together by the power method with repeated squaring.  A piece M
     starts with S = M/|M|_F + I (S = I for M = 0), which is positive
@@ -108,7 +124,7 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
     """
     check_count(samples, 1, "samples")
     check_count(refine_iters, 1, "refine_iters")
-    signed = [np.concatenate([m, -m]) for m in families]
+    signed = [np.concatenate([m, -m]) for m, _, _ in families]
     groups = [_pieces([signed[f] for f in obj]) for obj in objectives]
     pieces = np.concatenate(groups)
     every = np.arange(len(pieces))
@@ -119,9 +135,10 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
     except TypeError:  # an unhashable key; rng_from names the bad entry
         rng_from(seed, *stream)
         raise
-    for start in range(0, samples, _BLOCK):
-        draw = states[start:start + _BLOCK]
-        plus = [expectations(m, draw) for m in families]
+    chunk = max(_BLOCK, _CHUNK_SCORES // len(pieces))
+    for start in range(0, samples, chunk):
+        draw = states[start:start + chunk]
+        plus = [_born_scores(c, v, draw) for _, c, v in families]
         per_family = [np.concatenate([v, -v]) for v in plus]
         vals = np.concatenate([_pieces([per_family[f] for f in obj])
                                for obj in objectives])
@@ -154,7 +171,7 @@ def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
     results = []
     ends = np.cumsum([len(g) for g in groups])[:-1]
     for obj, part, stops in zip(objectives, np.split(psi, ends), np.split(last, ends)):
-        total = sum(np.max(np.abs(expectations(families[f], part)), axis=0)
+        total = sum(np.max(np.abs(expectations(families[f][0], part)), axis=0)
                     for f in obj)
         k = int(np.argmax(total))
         results.append(OracleResult(value=float(total[k]), maximizer=part[k],
@@ -167,25 +184,39 @@ def max_expectation(m: np.ndarray, samples: int, refine_iters: int,
                     seed: int, *stream: int) -> OracleResult:
     """Sampled maximum of |<psi|m|psi>| over unit vectors (Hermitian m)."""
     h = check_hermitian(m)
-    return _maximize((h[None],), ((0,),), h.shape[0], samples,
+    return _maximize((_hermitian_family(h),), ((0,),), h.shape[0], samples,
                      refine_iters, seed, *stream)[0]
 
 
-def _error_terms(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
+def _hermitian_family(h: np.ndarray) -> tuple:
+    """h as a family of one term, with the Born form h = sum_k |l_k><l_k| - cI.
+    The l_k are the columns of the Cholesky factor of h + cI, where
+    c = |h|_inf + 1 (largest absolute row sum); since |h|_inf >=
+    |lambda_min|, h + cI >= I is positive definite even when h + |h|_inf I
+    is singular.  Unlike the Frobenius norm, |h|_inf squares no entry, so it
+    stays finite for entries near 1e300."""
+    d = h.shape[0]
+    c = np.linalg.norm(h, np.inf) + 1.0
+    chol = np.linalg.cholesky(h + c * np.eye(d))
+    return (h[None], np.concatenate([np.ones(d), np.full(d, -c)])[None],
+            np.vstack([chol.T, np.eye(d)]))
+
+
+def _error_terms(a: OrthonormalBasis, ap: OrthonormalBasis) -> tuple:
     # eps_psi = max_i | |<a_i|psi>|^2 - |<a'_i|psi>|^2 |
     eye = np.eye(a.dim)
-    return _terms(np.hstack([eye, -eye]), np.vstack([a.vectors, ap.vectors]))
+    return _family(np.hstack([eye, -eye]), np.vstack([a.vectors, ap.vectors]))
 
 
-def _disturbance_terms(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
+def _disturbance_terms(ap: OrthonormalBasis, b: OrthonormalBasis) -> tuple:
     # eta_psi = max_j | |<b_j|psi>|^2 - sum_k w_jk |<a'_k|psi>|^2 |,
     # with w_jk = |<b_j|a'_k>|^2
     w = np.abs(b.gram(ap)) ** 2
-    return _terms(np.hstack([np.eye(b.dim), -w]), np.vstack([b.vectors, ap.vectors]))
+    return _family(np.hstack([np.eye(b.dim), -w]), np.vstack([b.vectors, ap.vectors]))
 
 
 def _triple_terms(a: OrthonormalBasis, ap: OrthonormalBasis,
-                  b: OrthonormalBasis) -> tuple[np.ndarray, np.ndarray]:
+                  b: OrthonormalBasis) -> tuple[tuple, tuple]:
     require_same_dim(a, ap, b)
     return _error_terms(a, ap), _disturbance_terms(ap, b)
 

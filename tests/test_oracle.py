@@ -55,6 +55,16 @@ class TestMaxExpectation:
         r2 = oracle.max_expectation(m, 1, 1, 1, 0)
         assert not np.allclose(r1.maximizer, r2.maximizer)
 
+    def test_huge_entries_still_reach_the_top_eigenvalue(self):
+        # Entries near 1e300 overflow a Frobenius norm (the refine loop's
+        # own norm overflows too, so it cannot climb); the sample scores must
+        # stay finite so the best sample is still found.
+        m = random_hermitian(3, 11)
+        target = 1e300 * float(np.max(np.abs(oracle.eig3_closed(m))))
+        with np.errstate(over="ignore"):
+            out = oracle.max_expectation(1e300 * m, samples=2000, refine_iters=50, seed=2)
+        assert 0.9 * target <= out.value <= target * (1 + 1e-9)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             oracle.max_expectation(np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -202,7 +212,7 @@ class TestRefineLoop:
         # Rayleigh quotient of S^p psi_0 never falls as p grows.  One sample:
         # the climb starts from a random vector.
         m = random_hermitian(d, 390 + d)
-        values = [oracle._maximize((m[None],), ((0,),), d, 1, cap, d)[0].value
+        values = [oracle._maximize((oracle._hermitian_family(m),), ((0,),), d, 1, cap, d)[0].value
                   for cap in range(1, 13)]
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
 
@@ -216,6 +226,59 @@ class TestRefineLoop:
                 out = oracle.max_expectation(m, 2000, 200, seed)
                 assert out.value <= linalg.spectral_radius(m) + 1e-9
                 assert abs(np.linalg.norm(out.maximizer) - 1.0) <= 1e-12
+
+
+class TestBornScores:
+    # Samples are scored from each family's Born form, the ascent and the
+    # final values from its matrices; the two must be one quadratic form.
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_error_and_disturbance_forms_match_their_matrices(self, d):
+        a, ap, b = random_triple(d, 400 + d)
+        states = oracle._haar_states(d, 500, d, 7)
+        for m, coeffs, vectors in (oracle._error_terms(a, ap),
+                                   oracle._disturbance_terms(ap, b)):
+            assert np.max(np.abs(oracle._born_scores(coeffs, vectors, states)
+                                 - linalg.expectations(m, states))) <= 1e-13
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_max_expectation_form_matches_its_matrix(self, d):
+        # v has entries of equal modulus, so -vv^dagger + |vv^dagger|_inf I
+        # is singular, and the shift needs its + 1.
+        v = np.exp(2j * np.pi * np.arange(d) / d) / math.sqrt(d)
+        states = oracle._haar_states(d, 500, d, 8)
+        for m in (random_hermitian(d, 420 + d),
+                  random_hermitian(d, 430 + d) + 5.0 * np.eye(d),
+                  np.zeros((d, d)),
+                  -np.outer(v, v.conj())):
+            h = linalg.check_hermitian(m)
+            mats, coeffs, vectors = oracle._hermitian_family(h)
+            assert np.array_equal(mats[0], h)
+            assert np.max(np.abs(oracle._born_scores(coeffs, vectors, states)[0]
+                                 - linalg.expectations(h, states))) <= 1e-13
+
+
+class TestChunks:
+    # A piece starts from its first best sample, so the chunks the sample set
+    # is scored in must not change any result.
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("samples", [1, 255, 256, 257, 1001, 5000])
+    def test_results_do_not_depend_on_the_chunk_size(self, d, samples, monkeypatch):
+        a, ap, b = random_triple(d, 440 + d)
+        m = random_hermitian(d, 450 + d)
+        draw = (samples, 200, d, 5)
+
+        def results():
+            return [_fields(out) for out in (
+                oracle.max_expectation(m, *draw),
+                oracle.max_error_over_states(a, ap, *draw),
+                oracle.max_disturbance_over_states(ap, b, *draw),
+                oracle.max_sum_over_states(a, ap, b, *draw),
+                *oracle.max_all_over_states(a, ap, b, *draw))]
+
+        monkeypatch.setattr(oracle, "_CHUNK_SCORES", 0)  # chunks of _BLOCK
+        blocks = results()
+        monkeypatch.setattr(oracle, "_CHUNK_SCORES", 2**40)  # one pass
+        assert results() == blocks
 
 
 class TestAnalyticValues:
