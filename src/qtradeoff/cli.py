@@ -193,14 +193,14 @@ def _cmd_oracle_check(args) -> int:
         ap = haar_random_basis(args.dim, args.seed, t, 1)
         b = haar_random_basis(args.dim, args.seed, t, 2)
         # Sub-streams 0-2 of trial t drew its bases; its oracle draws from 3.
-        draw = (args.samples, args.refine_iters, args.seed, t, 3)
+        states = oracle.haar_states(args.dim, args.samples, args.seed, t, 3)
         pairs = {
             "epsilon": (metrics.error(a, ap).value,
-                        oracle.max_error_over_states(a, ap, *draw)),
+                        oracle.max_error_over_states(a, ap, states, args.refine_iters)),
             "eta": (metrics.disturbance(ap, b).value,
-                    oracle.max_disturbance_over_states(ap, b, *draw)),
+                    oracle.max_disturbance_over_states(ap, b, states, args.refine_iters)),
             "delta": (metrics.overall_error(a, ap, b).value,
-                      oracle.max_sum_over_states(a, ap, b, *draw)),
+                      oracle.max_sum_over_states(a, ap, b, states, args.refine_iters)),
         }
         row = {"trial": t}
         for name, (analytic, sampled) in pairs.items():

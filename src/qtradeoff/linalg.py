@@ -68,6 +68,17 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + mh)
 
 
+def check_states(psi, dim: int) -> np.ndarray:
+    """Unit vectors of shape (dim,) or (n, dim), else ValidationError."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != dim:
+        raise ValidationError(f"expected states of shape ({dim},) or (n, {dim}), got {psi.shape}")
+    dev = np.max(np.abs(np.linalg.norm(psi, axis=-1) - 1.0), initial=0.0)
+    if not dev <= VALIDATION_TOL:
+        raise ValidationError(f"state vector is not normalized: ||psi| - 1| = {dev:.3e}")
+    return psi
+
+
 def eig_hermitian(m: np.ndarray):
     """``(eigenvalues, eigenvectors)`` of Hermitian matrices.
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import linalg
 from .errors import UnsupportedSizeError, ValidationError
 from .measurement import OrthonormalBasis, require_same_dim
-from .tolerances import TIE_TOL, VALIDATION_TOL
+from .tolerances import TIE_TOL
 
 # Exhaustive permutation enumeration in relaxed_error stays cheap up to here.
 _MAX_RELAXED_DIM = 8
@@ -76,17 +76,6 @@ def _witness(values: np.ndarray, axes: int = 1):
 # State-dependent quantities
 # ---------------------------------------------------------------------------
 
-def _check_states(psi, dim: int) -> np.ndarray:
-    """Unit vectors of shape (dim,) or (n, dim), else ValidationError."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.ndim not in (1, 2) or psi.shape[-1] != dim:
-        raise ValidationError(f"expected states of shape ({dim},) or (n, {dim}), got {psi.shape}")
-    dev = np.max(np.abs(np.linalg.norm(psi, axis=-1) - 1.0), initial=0.0)
-    if not dev <= VALIDATION_TOL:
-        raise ValidationError(f"state vector is not normalized: ||psi| - 1| = {dev:.3e}")
-    return psi
-
-
 def state_dependent_error(a: OrthonormalBasis, ap: OrthonormalBasis, psi):
     """max_i | |<a_i|psi>|^2 - |<a'_i|psi>|^2 |: the infinity distance between
     the outcome distributions of A and A' on the pure state psi.
@@ -94,7 +83,7 @@ def state_dependent_error(a: OrthonormalBasis, ap: OrthonormalBasis, psi):
     A float for one unit vector psi of shape (d,), an (n,) array for a batch
     of shape (n, d).
     """
-    psi = _check_states(psi, a.dim)
+    psi = linalg.check_states(psi, a.dim)
     return _scalar(np.max(np.abs(linalg.expectations(error_matrices(a, ap), psi)), axis=0))
 
 
@@ -103,7 +92,7 @@ def state_dependent_disturbance(ap: OrthonormalBasis, b: OrthonormalBasis, psi):
     measuring A' first and discarding its outcome.  Shapes as in
     :func:`state_dependent_error`.
     """
-    psi = _check_states(psi, b.dim)
+    psi = linalg.check_states(psi, b.dim)
     return _scalar(np.max(np.abs(linalg.expectations(disturbance_matrices(ap, b), psi)), axis=0))
 
 

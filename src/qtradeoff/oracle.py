@@ -2,20 +2,18 @@
 
 Each sampled objective is the sum over one or two families of the family's
 largest term, a signed Born-rule combination such as
-``|<a_i|psi>|^2 - |<a'_i|psi>|^2``.  The Haar samples are scored in that
-Born form; the ascent and the final values use the Hermitian matrix of the
-same quadratic form.  One term per family makes a piece.  Every piece climbs
-from its own best Haar sample, by the power method on its shifted matrix,
-squared at every step, taken for all pieces at once, so none can stall in
-another piece's basin.  Several objectives over the same families (eps, eta
-and their sum) share one sample set and one ascent: each family is scored
-once per sample, and the pieces of all objectives climb side by side without
-changing one another's result.
+``|<a_i|psi>|^2 - |<a'_i|psi>|^2``.  Every entry point maximises one
+objective over a sample set of unit vectors that the caller passes in, so
+calls that should see the same samples (as ``oracle-check``'s three calls
+per trial do) are given the same array; ``haar_states`` draws one.  The
+samples are scored in the Born form; the ascent and the final values use the
+Hermitian matrix of the same quadratic form.  One term per family makes a
+piece.  Every piece climbs from its own best sample, by the power method on
+its shifted matrix, squared at every step, taken for all pieces at once, so
+none can stall in another piece's basin.
 Every family is a signed pair [M; -M], held and scored as its + half M only:
 negation is exact in floating point, so the - half's values are the
-negations of the + half's.  The Haar sample set of a key (dim, samples,
-seed, stream) is drawn once and kept until another key is drawn, so the
-entry points called in turn on one key (as ``oracle-check`` does) share it.
+negations of the + half's.
 2x2 and 3x3 Hermitian eigenvalues come from closed forms.  Nothing here ever
 calls the eigensolver, so agreement with the analytic path is evidence rather
 than tautology.
@@ -23,14 +21,13 @@ than tautology.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError, check_count
-from .linalg import check_hermitian, expectations, rng_from
+from .linalg import check_dim, check_hermitian, check_states, expectations, rng_from
 from .measurement import OrthonormalBasis, require_same_dim
 
 _RESIDUAL_FLOOR = 1e-10
@@ -47,13 +44,10 @@ _CHUNK_SCORES = 2**12
 class OracleResult:
     """Best value found and the unit vector attaining it.
 
-    ``refinement_steps`` counts iterations of the batched refine loop; one
-    iteration squares the shifted matrix of every piece still refining.  It
-    counts the steps until the objective's own pieces stopped (or the cap), so
-    an objective maximized in a shared ascent (``max_all_over_states``)
-    reports what it reports when maximized alone.  ``samples_used`` counts
-    the samples this call scored, whether it drew them or reused the draw of
-    an earlier call on the same key.
+    ``refinement_steps`` counts iterations of the batched refine loop, until
+    the last piece stopped or the cap; one iteration squares the shifted
+    matrix of every piece still refining.  ``samples_used`` counts the rows
+    of the sample set, all of which are scored.
     """
     value: float
     maximizer: np.ndarray
@@ -82,110 +76,89 @@ def _pieces(parts):
     return out
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _haar_states(dim: int, samples: int, seed: int, *stream: int) -> np.ndarray:
-    """Read-only ``(samples, dim)`` Haar-random unit vectors from
-    ``rng_from(seed, *stream)``, drawn per block of ``_BLOCK`` (real parts,
-    then imaginary parts).  The last key's array is kept; ``typed`` keeps a
-    seed of 1.0 from hitting the entry of 1, so it still fails validation.
-    """
+def haar_states(dim: int, samples: int, seed: int, *stream: int) -> np.ndarray:
+    """``(samples, dim)`` Haar-random unit vectors from ``rng_from(seed,
+    *stream)``, drawn per block of ``_BLOCK`` (real parts, then imaginary
+    parts)."""
+    check_dim(dim)
+    check_count(samples, 1, "samples")
     rng = rng_from(seed, *stream)
     states = np.empty((samples, dim), dtype=np.complex128)
     for start in range(0, samples, _BLOCK):
         n = min(_BLOCK, samples - start)
         draw = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
         states[start:start + n] = draw / np.linalg.norm(draw, axis=1, keepdims=True)
-    states.flags.writeable = False
     return states
 
 
-def _maximize(families, objectives, dim: int, samples: int, refine_iters: int,
-              seed: int, *stream: int) -> list[OracleResult]:
-    """Maximum over unit vectors of each objective: the sum over its families
-    (a tuple of indices into ``families``) of the family's largest term.
-    Each family is given by its + half M, as (M, coeffs, vectors) with the
-    Born form of M, and stands for the signed pair [M; -M], so its largest
-    term at psi is max |<psi|M|psi>|.
+def _maximize(families, states, refine_iters: int) -> OracleResult:
+    """Maximum over unit vectors of the sum over ``families`` of the family's
+    largest term.  Each family is given by its + half M, as (M, coeffs,
+    vectors) with the Born form of M, and stands for the signed pair
+    [M; -M], so its largest term at psi is max |<psi|M|psi>|.
 
-    The Haar samples come from ``_haar_states``, drawn once per key.  Each
-    family's + half is scored in its Born form once per chunk of
+    ``states`` is a non-empty ``(n, d)`` set of unit vectors.  Each family's
+    + half is scored in its Born form once per chunk of
     max(_BLOCK, _CHUNK_SCORES // pieces) samples, and its - half scores the
-    negated values.  Every piece of every objective (one term
-    from each of its families) starts from its best sample, and all pieces
-    climb together by the power method with repeated squaring.  A piece M
-    starts with S = M/|M|_F + I (S = I for M = 0), which is positive
-    semidefinite because |M|_F >= |lambda_min|; each step sets
-    psi <- S psi/|S psi| and S <- S^2/|S^2|_F, so after k steps psi is
-    S^(2^k - 1) psi_0 normalised.  Since S >= 0 shares M's eigenvectors, the
-    Rayleigh quotient of S^p psi_0 never falls as p grows.  A piece stops once
-    its residual r = M psi - <psi|M|psi> psi has |r| < 1e-10.  Pieces never
-    interact, so an objective's result does not depend on which others share
-    the ascent.  One result per objective.
+    negated values.  Every piece (one term from each family) starts from its
+    best sample, and all pieces climb together by the power method with
+    repeated squaring.  A piece M starts with S = M/|M|_F + I (S = I for
+    M = 0), which is positive semidefinite because |M|_F >= |lambda_min|;
+    each step sets psi <- S psi/|S psi| and S <- S^2/|S^2|_F, so after k
+    steps psi is S^(2^k - 1) psi_0 normalised.  Since S >= 0 shares M's
+    eigenvectors, the Rayleigh quotient of S^p psi_0 never falls as p grows.
+    A piece stops once its residual r = M psi - <psi|M|psi> psi has
+    |r| < 1e-10.
     """
-    check_count(samples, 1, "samples")
+    dim = families[0][0].shape[-1]
+    states = check_states(states, dim)
+    if states.ndim != 2 or not len(states):
+        raise ValidationError(f"expected n >= 1 states of shape (n, {dim}), got {states.shape}")
     check_count(refine_iters, 1, "refine_iters")
-    signed = [np.concatenate([m, -m]) for m, _, _ in families]
-    groups = [_pieces([signed[f] for f in obj]) for obj in objectives]
-    pieces = np.concatenate(groups)
+    pieces = _pieces([np.concatenate([m, -m]) for m, _, _ in families])
     every = np.arange(len(pieces))
     psi = np.zeros((len(pieces), dim), dtype=np.complex128)
     value = np.full(len(pieces), -np.inf)
-    try:
-        states = _haar_states(dim, samples, seed, *stream)
-    except TypeError:  # an unhashable key; rng_from names the bad entry
-        rng_from(seed, *stream)
-        raise
     chunk = max(_BLOCK, _CHUNK_SCORES // len(pieces))
-    for start in range(0, samples, chunk):
+    for start in range(0, len(states), chunk):
         draw = states[start:start + chunk]
         plus = [_born_scores(c, v, draw) for _, c, v in families]
-        per_family = [np.concatenate([v, -v]) for v in plus]
-        vals = np.concatenate([_pieces([per_family[f] for f in obj])
-                               for obj in objectives])
+        vals = _pieces([np.concatenate([p, -p]) for p in plus])
         best = np.argmax(vals, axis=1)
         top = vals[every, best]
         better = top > value
         psi[better] = draw[best[better]]
         value[better] = top[better]
-    # The live pieces are held compacted; a piece leaves once its residual
-    # drops below the floor, and last[p] is the number of steps it took.
+    # The live pieces are held compacted; a piece leaves once |r| < the floor.
     norm = np.linalg.norm(pieces, axis=(1, 2))
     shift = pieces / np.where(norm > 0, norm, 1.0)[:, None, None] + np.eye(dim)
     live, mats, at = every, pieces, psi
-    last = np.zeros(len(pieces), dtype=int)
     steps = 0
-    while live.size and steps < refine_iters:
+    while steps < refine_iters:
         g = (mats @ at[:, :, None])[:, :, 0]
         q = (at.conj() * g).real.sum(axis=1)
         r = g - q[:, None] * at
         keep = np.linalg.norm(r, axis=1) >= _RESIDUAL_FLOOR
         if not keep.all():
-            psi[live], last[live] = at, steps
+            psi[live] = at
             live, mats, shift, at = live[keep], mats[keep], shift[keep], at[keep]
+            if not live.size:
+                break
         at = (shift @ at[:, :, None])[:, :, 0]
         at /= np.linalg.norm(at, axis=1, keepdims=True)
         shift = shift @ shift
         shift /= np.linalg.norm(shift, axis=(1, 2))[:, None, None]
         steps += 1
-    psi[live], last[live] = at, steps
-    results = []
-    ends = np.cumsum([len(g) for g in groups])[:-1]
-    for obj, part, stops in zip(objectives, np.split(psi, ends), np.split(last, ends)):
-        total = sum(np.max(np.abs(expectations(families[f][0], part)), axis=0)
-                    for f in obj)
-        k = int(np.argmax(total))
-        results.append(OracleResult(value=float(total[k]), maximizer=part[k],
-                                    samples_used=samples,
-                                    refinement_steps=int(stops.max())))
-    return results
+    psi[live] = at
+    total = sum(np.max(np.abs(expectations(m, psi)), axis=0) for m, _, _ in families)
+    k = int(np.argmax(total))
+    return OracleResult(value=float(total[k]), maximizer=psi[k],
+                        samples_used=len(states), refinement_steps=steps)
 
 
-def max_expectation(m: np.ndarray, samples: int, refine_iters: int,
-                    seed: int, *stream: int) -> OracleResult:
+def max_expectation(m: np.ndarray, states, refine_iters: int) -> OracleResult:
     """Sampled maximum of |<psi|m|psi>| over unit vectors (Hermitian m)."""
-    h = check_hermitian(m)
-    return _maximize((_hermitian_family(h),), ((0,),), h.shape[0], samples,
-                     refine_iters, seed, *stream)[0]
+    return _maximize((_hermitian_family(check_hermitian(m)),), states, refine_iters)
 
 
 def _hermitian_family(h: np.ndarray) -> tuple:
@@ -215,49 +188,26 @@ def _disturbance_terms(ap: OrthonormalBasis, b: OrthonormalBasis) -> tuple:
     return _family(np.hstack([np.eye(b.dim), -w]), np.vstack([b.vectors, ap.vectors]))
 
 
-def _triple_terms(a: OrthonormalBasis, ap: OrthonormalBasis,
-                  b: OrthonormalBasis) -> tuple[tuple, tuple]:
-    require_same_dim(a, ap, b)
-    return _error_terms(a, ap), _disturbance_terms(ap, b)
-
-
-def max_all_over_states(a: OrthonormalBasis, ap: OrthonormalBasis,
-                        b: OrthonormalBasis, samples: int, refine_iters: int,
-                        seed: int, *stream: int) -> tuple[OracleResult, ...]:
-    """Sampled maxima of eps_rho, eta_rho and eps_rho + eta_rho over pure
-    states, from one sample set and one shared ascent.
-
-    Each result equals the matching ``max_*_over_states`` result for the same
-    draw, field for field.
-    """
-    return tuple(_maximize(_triple_terms(a, ap, b), ((0,), (1,), (0, 1)), a.dim,
-                           samples, refine_iters, seed, *stream))
-
-
 def max_sum_over_states(a: OrthonormalBasis, ap: OrthonormalBasis,
-                        b: OrthonormalBasis, samples: int, refine_iters: int,
-                        seed: int, *stream: int) -> OracleResult:
+                        b: OrthonormalBasis, states, refine_iters: int) -> OracleResult:
     """Sampled maximum of eps_rho + eta_rho over pure states."""
-    return _maximize(_triple_terms(a, ap, b), ((0, 1),), a.dim, samples,
-                     refine_iters, seed, *stream)[0]
+    require_same_dim(a, ap, b)
+    return _maximize((_error_terms(a, ap), _disturbance_terms(ap, b)), states,
+                     refine_iters)
 
 
-def max_error_over_states(a: OrthonormalBasis, ap: OrthonormalBasis,
-                          samples: int, refine_iters: int, seed: int,
-                          *stream: int) -> OracleResult:
+def max_error_over_states(a: OrthonormalBasis, ap: OrthonormalBasis, states,
+                          refine_iters: int) -> OracleResult:
     """Sampled maximum of the state-dependent error over pure states."""
     require_same_dim(a, ap)
-    return _maximize((_error_terms(a, ap),), ((0,),), a.dim, samples,
-                     refine_iters, seed, *stream)[0]
+    return _maximize((_error_terms(a, ap),), states, refine_iters)
 
 
-def max_disturbance_over_states(ap: OrthonormalBasis, b: OrthonormalBasis,
-                                samples: int, refine_iters: int, seed: int,
-                                *stream: int) -> OracleResult:
+def max_disturbance_over_states(ap: OrthonormalBasis, b: OrthonormalBasis, states,
+                                refine_iters: int) -> OracleResult:
     """Sampled maximum of the state-dependent disturbance over pure states."""
     require_same_dim(ap, b)
-    return _maximize((_disturbance_terms(ap, b),), ((0,),), ap.dim, samples,
-                     refine_iters, seed, *stream)[0]
+    return _maximize((_disturbance_terms(ap, b),), states, refine_iters)
 
 
 def eig2_closed(m: np.ndarray) -> np.ndarray:

@@ -139,13 +139,14 @@ def test_criterion_07_oracle_equivalence():
             a = haar_random_basis(d, 70, d, t, 0)
             ap = haar_random_basis(d, 70, d, t, 1)
             b = haar_random_basis(d, 70, d, t, 2)
+            states = oracle.haar_states(d, 2000, 700 + t)
             pairs = (
                 (metrics.error(a, ap).value,
-                 oracle.max_error_over_states(a, ap, 2000, 200, 700 + t)),
+                 oracle.max_error_over_states(a, ap, states, 200)),
                 (metrics.disturbance(ap, b).value,
-                 oracle.max_disturbance_over_states(ap, b, 2000, 200, 700 + t)),
+                 oracle.max_disturbance_over_states(ap, b, states, 200)),
                 (metrics.overall_error(a, ap, b).value,
-                 oracle.max_sum_over_states(a, ap, b, 2000, 200, 700 + t)),
+                 oracle.max_sum_over_states(a, ap, b, states, 200)),
             )
             for analytic, sampled in pairs:
                 gap = sampled.value - analytic

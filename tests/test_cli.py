@@ -397,8 +397,8 @@ class TestOracleCheck:
 
 class TestOracleRerunInOneProcess:
     def test_each_argv_prints_the_bytes_of_a_fresh_process(self, capsys):
-        # The oracle keeps the last sample set it drew; no call may depend on
-        # what an earlier call left there.
+        # Each trial draws its own sample set; no call may depend on what an
+        # earlier call in the same process left behind.
         argv = ["oracle-check", "--dim", "3", "--trials", "2", "--samples", "300",
                 "--refine-iters", "50", "--seed"]
         src = str(Path(qtradeoff.__file__).resolve().parent.parent)

@@ -206,9 +206,9 @@ class TestScanTheorem1:
 class TestScanBoundsD3:
     def test_unbiased_point_all_equal(self):
         table = explorer.scan_bounds_d3(1 / 3, steps=5)
-        last = table.rows[-1]
-        assert last[0] == pytest.approx(1 / 3, abs=1e-12)
-        assert np.allclose(last[1:], 2 / 3, atol=1e-9)
+        end = table.rows[-1]
+        assert end[0] == pytest.approx(1 / 3, abs=1e-12)
+        assert np.allclose(end[1:], 2 / 3, atol=1e-9)
 
     def test_compatible_endpoint_vanishes(self):
         table = explorer.scan_bounds_d3(0.0, steps=5)

@@ -133,7 +133,7 @@ class TestSpectralRadius:
             psi = linalg.haar_unit_vector(4, 7, k)
             best = max(best, abs(np.real(psi.conj() @ m @ psi)))
         assert best <= r + 1e-9
-        refined = oracle.max_expectation(m, samples=1000, refine_iters=100, seed=7)
+        refined = oracle.max_expectation(m, oracle.haar_states(4, 1000, 7), 100)
         assert r - 1e-3 <= refined.value <= r + 1e-9
 
 

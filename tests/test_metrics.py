@@ -384,8 +384,7 @@ class TestOverallError:
     def test_qubit_matches_pure_state_sampling(self):
         a, ap, b = random_triple(2, 21)
         delta = metrics.overall_error(a, ap, b).value
-        sampled = oracle.max_sum_over_states(a, ap, b, samples=500,
-                                             refine_iters=150, seed=22)
+        sampled = oracle.max_sum_over_states(a, ap, b, oracle.haar_states(2, 500, 22), 150)
         assert delta - 1e-3 <= sampled.value <= delta + 1e-9
 
     def test_sum_decomposition(self):

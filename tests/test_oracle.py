@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 
@@ -15,44 +14,44 @@ from test_metrics import rotated_qubit_basis
 
 class TestMaxExpectation:
     def test_zero_matrix(self):
-        out = oracle.max_expectation(np.zeros((3, 3)), samples=10, refine_iters=10, seed=0)
+        out = oracle.max_expectation(np.zeros((3, 3)), oracle.haar_states(3, 10, 0), 10)
         assert out.value == 0.0
 
     def test_qubit_known_eigenvalues(self):
         lam = 0.7
         m = np.array([[0.0, lam], [lam, 0.0]])
-        out = oracle.max_expectation(m, samples=200, refine_iters=200, seed=1)
+        out = oracle.max_expectation(m, oracle.haar_states(2, 200, 1), 200)
         assert out.value == pytest.approx(lam, abs=1e-6)
 
     def test_random_3x3_reaches_cubic_root(self):
         m = random_hermitian(3, 2)
         target = float(np.max(np.abs(oracle.eig3_closed(m))))
-        out = oracle.max_expectation(m, samples=500, refine_iters=200, seed=3)
+        out = oracle.max_expectation(m, oracle.haar_states(3, 500, 3), 200)
         assert target - 1e-4 <= out.value <= target + 1e-9
 
     def test_value_matches_objective_at_maximizer(self):
         m = random_hermitian(4, 4)
-        out = oracle.max_expectation(m, samples=100, refine_iters=50, seed=5)
+        out = oracle.max_expectation(m, oracle.haar_states(4, 100, 5), 50)
         psi = out.maximizer
         assert abs(np.real(psi.conj() @ m @ psi)) == pytest.approx(out.value, abs=1e-12)
 
     def test_one_sided_soundness(self):
         for seed in range(10):
             m = random_hermitian(4, 600 + seed)
-            out = oracle.max_expectation(m, samples=200, refine_iters=100, seed=seed)
+            out = oracle.max_expectation(m, oracle.haar_states(4, 200, seed), 100)
             assert out.value <= linalg.spectral_radius(m) + 1e-9
 
     def test_determinism(self):
         m = random_hermitian(3, 7)
-        r1 = oracle.max_expectation(m, samples=100, refine_iters=50, seed=9)
-        r2 = oracle.max_expectation(m, samples=100, refine_iters=50, seed=9)
+        r1 = oracle.max_expectation(m, oracle.haar_states(3, 100, 9), 50)
+        r2 = oracle.max_expectation(m, oracle.haar_states(3, 100, 9), 50)
         assert r1.value == r2.value
         assert np.array_equal(r1.maximizer, r2.maximizer)
 
     def test_sub_streams_are_independent(self):
         m = random_hermitian(3, 8)
-        r1 = oracle.max_expectation(m, 1, 1, 0, 1)
-        r2 = oracle.max_expectation(m, 1, 1, 1, 0)
+        r1 = oracle.max_expectation(m, oracle.haar_states(3, 1, 0, 1), 1)
+        r2 = oracle.max_expectation(m, oracle.haar_states(3, 1, 1, 0), 1)
         assert not np.allclose(r1.maximizer, r2.maximizer)
 
     def test_huge_entries_still_reach_the_top_eigenvalue(self):
@@ -62,13 +61,13 @@ class TestMaxExpectation:
         m = random_hermitian(3, 11)
         target = 1e300 * float(np.max(np.abs(oracle.eig3_closed(m))))
         with np.errstate(over="ignore"):
-            out = oracle.max_expectation(1e300 * m, samples=2000, refine_iters=50, seed=2)
+            out = oracle.max_expectation(1e300 * m, oracle.haar_states(3, 2000, 2), 50)
         assert 0.9 * target <= out.value <= target * (1 + 1e-9)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             oracle.max_expectation(np.array([[0.0, 1.0], [0.0, 0.0]]),
-                                   samples=1, refine_iters=1, seed=0)
+                                   oracle.haar_states(2, 1, 0), 1)
 
 
 class TestMaxSumOverStates:
@@ -76,59 +75,57 @@ class TestMaxSumOverStates:
         theta = 1.1
         a = computational_basis(2)
         b = rotated_qubit_basis(theta)
-        out = oracle.max_sum_over_states(a, a, b, samples=500, refine_iters=200, seed=0)
+        out = oracle.max_sum_over_states(a, a, b, oracle.haar_states(2, 500, 0), 200)
         assert out.value == pytest.approx(0.5 * math.sin(theta), abs=1e-4)
 
     def test_target_intermediate_reaches_error(self):
         a, _, b = random_triple(3, 1)
-        out = oracle.max_sum_over_states(a, b, b, samples=500, refine_iters=200, seed=2)
+        out = oracle.max_sum_over_states(a, b, b, oracle.haar_states(3, 500, 2), 200)
         assert out.value == pytest.approx(metrics.error(a, b).value, abs=1e-4)
 
     def test_random_triple_brackets_overall_error(self):
         a, ap, b = random_triple(3, 3)
         delta = metrics.overall_error(a, ap, b).value
-        out = oracle.max_sum_over_states(a, ap, b, samples=1000, refine_iters=200, seed=4)
+        out = oracle.max_sum_over_states(a, ap, b, oracle.haar_states(3, 1000, 4), 200)
         assert delta - 1e-3 <= out.value <= delta + 1e-9
 
     def test_dimension_mismatch(self):
         a = computational_basis(2)
+        states = oracle.haar_states(2, 1, 0)
         with pytest.raises(ValidationError):
-            oracle.max_sum_over_states(a, a, computational_basis(3),
-                                       samples=1, refine_iters=1, seed=0)
+            oracle.max_sum_over_states(a, a, computational_basis(3), states, 1)
         with pytest.raises(ValidationError):
-            oracle.max_all_over_states(a, computational_basis(3), a,
-                                       samples=1, refine_iters=1, seed=0)
+            oracle.max_sum_over_states(a, computational_basis(3), a, states, 1)
 
-    @pytest.mark.parametrize("seed, error", [(-1, "need at least 0, got -1"),
-                                             (1.5, "need an integer, got 1.5")])
-    def test_bad_seed_rejected(self, seed, error):
-        # the oracle builds its own generator, not through a Haar draw
-        a, ap = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
-        with pytest.raises(ValidationError, match=f"^seed: {error}$"):
-            oracle.max_error_over_states(a, ap, 50, 10, seed)
-
-    def test_numpy_integers_accepted(self):
-        a, ap = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
-        n = np.int64
-        got = oracle.max_error_over_states(a, ap, n(50), n(10), n(3), n(1))
-        want = oracle.max_error_over_states(a, ap, 50, 10, 3, 1)
-        assert (got.value, got.samples_used, got.refinement_steps) == (
-            want.value, want.samples_used, want.refinement_steps)
-        assert np.array_equal(got.maximizer, want.maximizer)
+    @pytest.mark.parametrize("bad", ["width", "rows", "norm", "vector"])
+    def test_bad_sample_set_rejected(self, bad):
+        # An empty set would report 0.0 with a zero vector as its maximizer.
+        a, ap, b = random_triple(3, 90)
+        m = random_hermitian(3, 91)
+        states = {"width": oracle.haar_states(4, 20, 0),
+                  "rows": np.empty((0, 3), dtype=complex),
+                  "norm": 1.5 * oracle.haar_states(3, 20, 0),
+                  "vector": oracle.haar_states(3, 1, 0)[0]}[bad]
+        for call in (lambda: oracle.max_expectation(m, states, 10),
+                     lambda: oracle.max_error_over_states(a, ap, states, 10),
+                     lambda: oracle.max_disturbance_over_states(ap, b, states, 10),
+                     lambda: oracle.max_sum_over_states(a, ap, b, states, 10)):
+            with pytest.raises(ValidationError):
+                call()
 
     @pytest.mark.parametrize("refine_iters", [0, -4])
     def test_refinement_below_one_sweep_rejected(self, refine_iters):
         # with no step the result is the unrefined best sample: 0.805, against 0.922
         a, ap = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
         with pytest.raises(ValidationError, match="refine_iters: need at least 1"):
-            oracle.max_error_over_states(a, ap, 50, refine_iters, 0)
+            oracle.max_error_over_states(a, ap, oracle.haar_states(3, 50, 0), refine_iters)
 
 
 class TestMaximizers:
     def test_maximizer_reproduces_value_through_state_dependent_metrics(self):
         for d in (2, 3, 4):
             a, ap, b = random_triple(d, 50 + d)
-            draw = (300, 100, d)
+            draw = (oracle.haar_states(d, 300, d), 100)
             out = oracle.max_sum_over_states(a, ap, b, *draw)
             psi = out.maximizer
             assert (metrics.state_dependent_error(a, ap, psi)
@@ -151,35 +148,11 @@ class TestMaximizers:
             monkeypatch.setattr(linalg, name, refuse)
         a, ap, b = random_triple(3, 60)
         m = random_hermitian(3, 61)
-        draw = (50, 20, 0)
+        draw = (oracle.haar_states(3, 50, 0), 20)
         oracle.max_expectation(m, *draw)
         oracle.max_error_over_states(a, ap, *draw)
         oracle.max_disturbance_over_states(ap, b, *draw)
         oracle.max_sum_over_states(a, ap, b, *draw)
-        oracle.max_all_over_states(a, ap, b, *draw)
-
-
-class TestSharedAscent:
-    @pytest.mark.parametrize("refine_iters", [200, 1])
-    def test_matches_the_separate_entry_points(self, refine_iters):
-        # 200 is the oracle-check default; a cap of 1 stops the ascent after
-        # one squaring, which is before convergence at every d.
-        for d in (2, 3, 4, 5):
-            for seed in range(3):
-                a, ap, b = random_triple(d, 70 * d + seed)
-                draw = (2000, refine_iters, seed, 1, 3)
-                shared = oracle.max_all_over_states(a, ap, b, *draw)
-                separate = (oracle.max_error_over_states(a, ap, *draw),
-                            oracle.max_disturbance_over_states(ap, b, *draw),
-                            oracle.max_sum_over_states(a, ap, b, *draw))
-                for one, alone in zip(shared, separate):
-                    assert one.value == alone.value
-                    assert np.array_equal(one.maximizer, alone.maximizer)
-                    assert one.samples_used == alone.samples_used
-                    assert one.refinement_steps == alone.refinement_steps
-                    if refine_iters == 1:
-                        # the cap, not convergence, ended the ascent
-                        assert one.refinement_steps == 1
 
 
 class TestRefineLoop:
@@ -189,9 +162,24 @@ class TestRefineLoop:
         # handful of steps suffices whatever the gaps in the pieces' spectra.
         for seed in range(3):
             a, ap, b = random_triple(d, 360 + 10 * d + seed)
-            for out in oracle.max_all_over_states(a, ap, b, 2000, 200, seed):
+            draw = (oracle.haar_states(d, 2000, seed), 200)
+            for out in (oracle.max_error_over_states(a, ap, *draw),
+                        oracle.max_disturbance_over_states(ap, b, *draw),
+                        oracle.max_sum_over_states(a, ap, b, *draw)):
                 assert out.refinement_steps <= 16
                 assert abs(np.linalg.norm(out.maximizer) - 1.0) <= 1e-12
+
+    def test_a_cap_of_one_stops_after_one_step(self):
+        # One squaring is before convergence at every d, so the cap, not
+        # convergence, ends the ascent.
+        for d in (2, 3, 4, 5):
+            for seed in range(3):
+                a, ap, b = random_triple(d, 70 * d + seed)
+                draw = (oracle.haar_states(d, 2000, seed, 1, 3), 1)
+                for out in (oracle.max_error_over_states(a, ap, *draw),
+                            oracle.max_disturbance_over_states(ap, b, *draw),
+                            oracle.max_sum_over_states(a, ap, b, *draw)):
+                    assert out.refinement_steps == 1
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-6, 1e-9])
     def test_a_near_tie_at_the_top_does_not_stall(self, gap):
@@ -202,7 +190,8 @@ class TestRefineLoop:
                 u = haar_random_basis(d, 380 + d, seed).vectors.T
                 rest = np.random.default_rng([380 + d, seed]).uniform(-0.5, 0.5, d - 2)
                 m = (u * np.concatenate([[1.0, 1.0 - gap], rest])) @ u.conj().T
-                out = oracle.max_expectation(0.5 * (m + m.conj().T), 2000, 200, seed)
+                out = oracle.max_expectation(0.5 * (m + m.conj().T),
+                                             oracle.haar_states(d, 2000, seed), 200)
                 assert 1.0 - 1e-10 <= out.value <= 1.0 + 1e-12
                 assert out.refinement_steps < 64
 
@@ -212,7 +201,8 @@ class TestRefineLoop:
         # Rayleigh quotient of S^p psi_0 never falls as p grows.  One sample:
         # the climb starts from a random vector.
         m = random_hermitian(d, 390 + d)
-        values = [oracle._maximize((oracle._hermitian_family(m),), ((0,),), d, 1, cap, d)[0].value
+        states = oracle.haar_states(d, 1, d)
+        values = [oracle._maximize((oracle._hermitian_family(m),), states, cap).value
                   for cap in range(1, 13)]
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
 
@@ -223,7 +213,7 @@ class TestRefineLoop:
         for d in range(4, 9):
             for seed in range(5):
                 m = random_hermitian(d, 340 + 10 * d + seed) + 5.0 * np.eye(d)
-                out = oracle.max_expectation(m, 2000, 200, seed)
+                out = oracle.max_expectation(m, oracle.haar_states(d, 2000, seed), 200)
                 assert out.value <= linalg.spectral_radius(m) + 1e-9
                 assert abs(np.linalg.norm(out.maximizer) - 1.0) <= 1e-12
 
@@ -234,7 +224,7 @@ class TestBornScores:
     @pytest.mark.parametrize("d", range(2, 17))
     def test_error_and_disturbance_forms_match_their_matrices(self, d):
         a, ap, b = random_triple(d, 400 + d)
-        states = oracle._haar_states(d, 500, d, 7)
+        states = oracle.haar_states(d, 500, d, 7)
         for m, coeffs, vectors in (oracle._error_terms(a, ap),
                                    oracle._disturbance_terms(ap, b)):
             assert np.max(np.abs(oracle._born_scores(coeffs, vectors, states)
@@ -245,7 +235,7 @@ class TestBornScores:
         # v has entries of equal modulus, so -vv^dagger + |vv^dagger|_inf I
         # is singular, and the shift needs its + 1.
         v = np.exp(2j * np.pi * np.arange(d) / d) / math.sqrt(d)
-        states = oracle._haar_states(d, 500, d, 8)
+        states = oracle.haar_states(d, 500, d, 8)
         for m in (random_hermitian(d, 420 + d),
                   random_hermitian(d, 430 + d) + 5.0 * np.eye(d),
                   np.zeros((d, d)),
@@ -265,15 +255,14 @@ class TestChunks:
     def test_results_do_not_depend_on_the_chunk_size(self, d, samples, monkeypatch):
         a, ap, b = random_triple(d, 440 + d)
         m = random_hermitian(d, 450 + d)
-        draw = (samples, 200, d, 5)
+        draw = (oracle.haar_states(d, samples, d, 5), 200)
 
         def results():
             return [_fields(out) for out in (
                 oracle.max_expectation(m, *draw),
                 oracle.max_error_over_states(a, ap, *draw),
                 oracle.max_disturbance_over_states(ap, b, *draw),
-                oracle.max_sum_over_states(a, ap, b, *draw),
-                *oracle.max_all_over_states(a, ap, b, *draw))]
+                oracle.max_sum_over_states(a, ap, b, *draw))]
 
         monkeypatch.setattr(oracle, "_CHUNK_SCORES", 0)  # chunks of _BLOCK
         blocks = results()
@@ -287,13 +276,14 @@ class TestAnalyticValues:
     def test_every_objective_reaches_its_analytic_value(self, d, seeds, base):
         for seed in range(seeds):
             a, ap, b = random_triple(d, base + seed)
+            states = oracle.haar_states(d, 2000, seed)
             for analytic, sampled in (
                     (metrics.error(a, ap).value,
-                     oracle.max_error_over_states(a, ap, 2000, 200, seed)),
+                     oracle.max_error_over_states(a, ap, states, 200)),
                     (metrics.disturbance(ap, b).value,
-                     oracle.max_disturbance_over_states(ap, b, 2000, 200, seed)),
+                     oracle.max_disturbance_over_states(ap, b, states, 200)),
                     (metrics.overall_error(a, ap, b).value,
-                     oracle.max_sum_over_states(a, ap, b, 2000, 200, seed))):
+                     oracle.max_sum_over_states(a, ap, b, states, 200))):
                 assert analytic - 1e-9 <= sampled.value <= analytic + 1e-9
                 assert abs(np.linalg.norm(sampled.maximizer) - 1.0) <= 1e-12
 
@@ -338,8 +328,7 @@ class TestConvergence:
             for seed in range(10):
                 m = random_hermitian(d, 900 + 10 * d + seed)
                 r = linalg.spectral_radius(m)
-                out = oracle.max_expectation(m, samples=500, refine_iters=200,
-                                             seed=seed)
+                out = oracle.max_expectation(m, oracle.haar_states(d, 500, seed), 200)
                 total += 1
                 if not (r - 1e-4 <= out.value <= r + 1e-9):
                     failures += 1
@@ -350,65 +339,37 @@ def _fields(out):
     return out.value, out.maximizer.tobytes(), out.samples_used, out.refinement_steps
 
 
-class TestSampleCache:
-    # One oracle-check trial calls three entry points on one key; the first
-    # draws the sample set and the others reuse it.
-    def calls(self, d, seed):
-        a, ap, b = random_triple(d, 80 + seed)
-        m = random_hermitian(d, 81 + seed)
-        draw = (300, 50, seed, 2, 3)
-        return {
-            "expectation": lambda: (oracle.max_expectation(m, *draw),),
-            "error": lambda: (oracle.max_error_over_states(a, ap, *draw),),
-            "disturbance": lambda: (oracle.max_disturbance_over_states(ap, b, *draw),),
-            "sum": lambda: (oracle.max_sum_over_states(a, ap, b, *draw),),
-            "all": lambda: oracle.max_all_over_states(a, ap, b, *draw),
-        }
-
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_cold_and_warm_calls_agree_in_any_order(self, d):
-        calls = self.calls(d, d)
-        cold = {}
-        for name, call in calls.items():
-            oracle._haar_states.cache_clear()
-            cold[name] = [_fields(out) for out in call()]
-        for order in itertools.permutations(calls):
-            oracle._haar_states.cache_clear()
-            for name in order:
-                assert [_fields(out) for out in calls[name]()] == cold[name]
-
-    def test_a_float_seed_after_its_integer_is_still_rejected(self):
-        a, ap = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
-        oracle.max_error_over_states(a, ap, 50, 10, 1)
-        with pytest.raises(ValidationError, match=r"^seed: need an integer, got 1\.0$"):
-            oracle.max_error_over_states(a, ap, 50, 10, 1.0)
-        with pytest.raises(ValidationError, match=r"^sub-stream index: need an integer"):
-            oracle.max_error_over_states(a, ap, 50, 10, 1, 2.0)
-
-    @pytest.mark.parametrize("key, error", [(([1],), "seed: need an integer, got [1]"),
-                                            ((1, {}), "sub-stream index: need an integer")])
-    def test_an_unhashable_key_is_rejected_as_invalid(self, key, error):
-        a, ap = haar_random_basis(3, 1, 0), haar_random_basis(3, 1, 1)
-        with pytest.raises(ValidationError, match=f"^{re.escape(error)}"):
-            oracle.max_error_over_states(a, ap, 50, 10, *key)
+class TestHaarStates:
+    @pytest.mark.parametrize("key, error", [
+        ((-1,), "seed: need at least 0, got -1"),
+        ((1.5,), "seed: need an integer, got 1.5"),
+        ((1.0,), "seed: need an integer, got 1.0"),
+        ((1, 2.0), "sub-stream index: need an integer, got 2.0"),
+        (([1],), "seed: need an integer, got [1]"),
+        ((1, {}), "sub-stream index: need an integer, got {}")])
+    def test_bad_key_rejected(self, key, error):
+        # float, negative and unhashable seeds and sub-stream indices
+        with pytest.raises(ValidationError, match=f"^{re.escape(error)}$"):
+            oracle.haar_states(3, 50, *key)
 
     def test_numpy_integer_keys_give_the_results_of_plain_ints(self):
         a, ap, b = random_triple(3, 85)
         n = np.int64
-        plain = [_fields(out) for out in oracle.max_all_over_states(a, ap, b, 257, 50, 3, 1)]
-        for _ in ("cold", "warm"):  # typed: the numpy key has an entry of its own
-            numpy = oracle.max_all_over_states(a, ap, b, n(257), n(50), n(3), n(1))
-            assert [_fields(out) for out in numpy] == plain
+        states = oracle.haar_states(3, 257, 3, 1)
+        assert np.array_equal(oracle.haar_states(n(3), n(257), n(3), n(1)), states)
+        plain = [_fields(out) for out in (oracle.max_error_over_states(a, ap, states, 50),
+                                          oracle.max_sum_over_states(a, ap, b, states, 50))]
+        numpy = [_fields(out) for out in (oracle.max_error_over_states(a, ap, states, n(50)),
+                                          oracle.max_sum_over_states(a, ap, b, states, n(50)))]
+        assert numpy == plain
 
-    def test_the_kept_sample_set_is_read_only(self):
-        states = oracle._haar_states(3, 300, 0, 1)
-        assert states.shape == (300, 3) and not states.flags.writeable
-        with pytest.raises(ValueError):
-            states[0, 0] = 1.0
-        assert np.allclose(np.linalg.norm(states, axis=1), 1.0, atol=1e-15, rtol=0)
-        # the maximizer handed out is a copy the caller may change
-        out = oracle.max_expectation(random_hermitian(3, 86), 300, 50, 0, 1)
+    def test_the_sample_set_is_neither_changed_nor_shared(self):
+        # The caller owns the set and may pass it to several calls.
+        states = oracle.haar_states(3, 300, 0, 1)
+        kept = states.copy()
+        out = oracle.max_expectation(random_hermitian(3, 86), states, 50)
         out.maximizer[0] = 0.0
+        assert np.array_equal(states, kept)
 
     def test_draw_order_is_per_block_real_then_imaginary(self):
         # samples 1001 ends on a partial block of 233
@@ -417,4 +378,4 @@ class TestSampleCache:
         for n in (256, 256, 256, 233):
             g = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
             blocks.append(g / np.linalg.norm(g, axis=1, keepdims=True))
-        assert np.array_equal(oracle._haar_states(8, 1001, 5, 0, 3), np.concatenate(blocks))
+        assert np.array_equal(oracle.haar_states(8, 1001, 5, 0, 3), np.concatenate(blocks))
