@@ -23,12 +23,12 @@ from .measurement import (
     haar_random_basis,
     require_same_dim,
 )
-from .tolerances import ASSERTION_TOL
+from .tolerances import ASSERTION_TOL, TIE_TOL
 
 MAX_SEARCH_DIM = 5
 
 # Trials per stacked metric call in the randomized drivers; caps the memory of
-# one block (its overall-error stack holds 2 d^2 matrices per trial).
+# one block (its overall-error stack holds 2 d^2 matrices per solved trial).
 _TRIAL_BLOCK = 256
 
 _STEP_FLOOR = 1e-8  # the A' search ends once its step halves below this
@@ -344,6 +344,12 @@ def minimize_over_intermediate(a: OrthonormalBasis, b: OrthonormalBasis,
     )
 
 
+def _delta_slack(triple, floor, rows):
+    """delta - f on the trials ``rows`` of a block's (A, A', B) batches."""
+    picked = (OrthonormalBasis(vectors=x.vectors[rows]) for x in triple)
+    return metrics.overall_error(*picked).value - floor[rows]
+
+
 def conjecture_search(d: int, trials: int, seed: int,
                       tol: float = ASSERTION_TOL) -> ConjectureRun:
     """Randomized search for violations of eps + eta >= f and delta >= f.
@@ -351,6 +357,11 @@ def conjecture_search(d: int, trials: int, seed: int,
     Trial t draws A, A' and B from sub-streams (t, 0), (t, 1) and (t, 2).
     The argmin distances are those of the first trial with the least
     eps + eta slack.
+
+    Per block, delta is solved for the trial whose lower bound
+    (``metrics.overall_error_lower_bound``) has the least slack, then for each
+    trial whose bound slack is within TIE_TOL of max(least delta slack so far,
+    -tol); as delta <= eps + eta, no other trial can change the result.
     """
     linalg.check_dim(d, hi=MAX_SEARCH_DIM)
     check_count(trials, 1, "trials")
@@ -361,15 +372,23 @@ def conjecture_search(d: int, trials: int, seed: int,
     argmin = None
     for first, (a, ap, b) in _haar_blocks(d, seed, range(trials), (0,), (1,), (2,)):
         eps = metrics.error(a, ap).value
-        eta = metrics.disturbance(ap, b).value
-        delta = metrics.overall_error(a, ap, b).value
-        floor = metrics.conjecture_floor(a, b)
+        eta, eta_ab = metrics.disturbance(OrthonormalBasis(np.stack([ap.vectors, a.vectors])),
+                                          OrthonormalBasis(np.stack([b.vectors, b.vectors]))).value
+        floor = np.minimum(metrics.relaxed_error(a, b).value, eta_ab)
         slack_sum = eps + eta - floor
-        slack_delta = delta - floor
         i = int(np.argmin(slack_sum))
         if slack_sum[i] < min_slack_sum:
             min_slack_sum = float(slack_sum[i])
-            argmin = (a.vectors[i], ap.vectors[i], b.vectors[i])
+            argmin = (ap.vectors[i], np.stack([a.vectors[i], b.vectors[i]]))
+        bound = metrics.overall_error_lower_bound(a, ap, b) - floor
+        k = int(np.argmin(bound))
+        slack_delta = np.full(len(floor), np.inf)
+        slack_delta[[k]] = _delta_slack((a, ap, b), floor, [k])
+        cut = max(min(min_slack_delta, slack_delta[k]), -tol) + TIE_TOL
+        rows = bound <= cut
+        rows[k] = False
+        if rows.any():
+            slack_delta[rows] = _delta_slack((a, ap, b), floor, rows)
         min_slack_delta = min(min_slack_delta, float(np.min(slack_delta)))
         for i in np.flatnonzero((slack_sum < -tol) | (slack_delta < -tol)):
             violations.append({
@@ -381,13 +400,13 @@ def conjecture_search(d: int, trials: int, seed: int,
                 "aprime": OrthonormalBasis(vectors=ap.vectors[i]),
                 "b": OrthonormalBasis(vectors=b.vectors[i]),
             })
-    a, ap, b = (OrthonormalBasis(vectors=v) for v in argmin)
+    to_a, to_b = metrics.relaxed_error(*(OrthonormalBasis(vectors=v) for v in argmin)).value
     return ConjectureRun(dim=d, trials=trials, seed=seed,
                          min_slack_sum=min_slack_sum,
                          min_slack_delta=min_slack_delta,
                          violations=violations,
-                         argmin_distance_to_a=metrics.relaxed_error(ap, a).value,
-                         argmin_distance_to_b=metrics.relaxed_error(ap, b).value)
+                         argmin_distance_to_a=float(to_a),
+                         argmin_distance_to_b=float(to_b))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ round-off; the reported value is the maximum itself.
 The bounds and the Perron-Frobenius frames, on which eta is solved, depend only
 on the rows of W_ik = |<b_i|a'_k>|^2: ``bound1_rows``, ``bound2_rows``, ``frame_rows``.
 
-``error``, ``disturbance``, ``overall_error``, ``relaxed_error``,
-``conjecture_floor``, ``calibration_error``, ``calibration_disturbance`` and
-``disturbance_bound_1``/``_2`` also take batches of bases (vectors of shape
-(n, d, d), or one basis broadcast against a batch) and then return arrays of
-shape (n,) in place of Python scalars.
+``error``, ``disturbance``, ``overall_error``, ``overall_error_lower_bound``,
+``relaxed_error``, ``conjecture_floor``, ``calibration_error``,
+``calibration_disturbance`` and ``disturbance_bound_1``/``_2`` also take
+batches of bases (vectors of shape (n, d, d), or one basis broadcast against
+a batch) and then return arrays of shape (n,) in place of Python scalars.
 """
 
 from __future__ import annotations
@@ -111,17 +111,20 @@ def _overlaps(ap: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
     return np.abs(b.gram(ap))
 
 
+def _residuals(a: OrthonormalBasis, ap: OrthonormalBasis):
+    """o_i = <a_i|a'_i> and r_i = a'_i - o_i a_i, once the bases are checked to match."""
+    require_same_dim(a, ap)
+    o = np.einsum("...ij,...ij->...i", a.vectors.conj(), ap.vectors)
+    return o, ap.vectors - o[..., None] * a.vectors
+
+
 def _residual_norms(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
-    """|a'_i - <a_i|a'_i> a_i| = sqrt(1 - |<a'_i|a_i>|^2), capped at 1, once
-    the two bases are checked to match: shape (..., d).
+    """|r_i| = sqrt(1 - |<a'_i|a_i>|^2), capped at 1: shape (..., d).
 
     The norm of a'_i minus its projection onto a_i stays accurate when the
     two bases nearly coincide (no cancellation in 1 - |o|^2).
     """
-    require_same_dim(a, ap)
-    overlaps = np.einsum("...ij,...ij->...i", a.vectors.conj(), ap.vectors)
-    residual = ap.vectors - overlaps[..., None] * a.vectors
-    return np.minimum(np.linalg.norm(residual, axis=-1), 1.0)
+    return np.minimum(np.linalg.norm(_residuals(a, ap)[1], axis=-1), 1.0)
 
 
 def error_matrices(a: OrthonormalBasis, ap: OrthonormalBasis) -> np.ndarray:
@@ -161,12 +164,31 @@ def overall_error(a: OrthonormalBasis, ap: OrthonormalBasis,
     s = +1 before s = -1, so the flat witness index is the lowest such triple.
     """
     require_same_dim(a, ap, b)
-    e = error_matrices(a, ap)[..., :, None, :, :]
-    t = disturbance_matrices(ap, b)[..., None, :, :, :]
-    r = linalg.spectral_radius(np.stack([e + t, e - t], axis=-3))
+    e = error_matrices(a, ap)[..., :, None, None, :, :]
+    t = disturbance_matrices(ap, b)  # e + (-t) is e - t bit for bit (IEEE 754)
+    r = linalg.spectral_radius(e + np.stack([t, -t], axis=-3)[..., None, :, :, :, :])
     value, k = _witness(r, axes=3)
     i, j, s = np.unravel_index(k, r.shape[-3:])
     return OverallError(value, _scalar(i), _scalar(j), _scalar(1 - 2 * s))
+
+
+def overall_error_lower_bound(a: OrthonormalBasis, ap: OrthonormalBasis,
+                              b: OrthonormalBasis):
+    """max_{i,j} |<v_i|E_i|v_i>| + |<v_i|D_j|v_i>| <= delta, with no eigensolve.
+
+    v_i = (1 + s_i) a_i - conj(o_i) r_i / s_i normalised (a_i if s_i = |r_i| = 0;
+    o_i, r_i from :func:`_residuals`) is the top eigenvector of E_i, and one
+    sign gives R(E_i +/- D_j) >= |<v_i|E_i +/- D_j|v_i>| = the (i, j) term.
+    <v|D_j|v> = |<b_j|v>|^2 - sum_k W_jk |<a'_k|v>|^2 needs only overlaps.
+    """
+    o, r = _residuals(a, ap)
+    s = np.linalg.norm(r, axis=-1)
+    v = (1.0 + s)[..., None] * a.vectors - (o.conj() / np.where(s > 0, s, 1.0))[..., None] * r
+    v = OrthonormalBasis(vectors=v / np.linalg.norm(v, axis=-1, keepdims=True))
+    p = np.abs(v.gram(ap)) ** 2  # p[..., i, k] = |<a'_k|v_i>|^2
+    e = np.abs(np.diagonal(np.abs(v.gram(a)) ** 2 - p, axis1=-2, axis2=-1))
+    t = np.abs(np.abs(v.gram(b)) ** 2 - p @ np.swapaxes(_overlaps(ap, b) ** 2, -1, -2))
+    return _scalar(np.max(e + np.max(t, axis=-1), axis=-1))
 
 
 def _calibration_rows(w: np.ndarray) -> np.ndarray:

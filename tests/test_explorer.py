@@ -534,11 +534,37 @@ class TestConjectureSearch:
 
     @pytest.mark.parametrize("tol", [1e-9, -2.0])
     def test_blocks_match_the_per_trial_loop(self, tol):
-        # at seed 3 both least slacks fall in the second block (trials 485, 375)
+        # at d = 3 both least slacks fall in the second block (trials 485, 375)
         trials = 2 * explorer._TRIAL_BLOCK + 3
-        run = explorer.conjecture_search(3, trials, seed=3, tol=tol)
-        assert run == per_trial_conjecture(3, trials, 3, tol)
-        assert len(run.violations) == (trials if tol < 0 else 0)
+        for d in (2, 3, 4, 5):
+            run = explorer.conjecture_search(d, trials, seed=3, tol=tol)
+            assert run == per_trial_conjecture(d, trials, 3, tol), d
+            assert len(run.violations) == (trials if tol < 0 else 0)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("tol", [1e-9, -2.0])
+    def test_run_does_not_depend_on_the_block_size(self, monkeypatch, d, tol):
+        runs = []
+        for block in (1, 3, 256):
+            monkeypatch.setattr(explorer, "_TRIAL_BLOCK", block)
+            runs.append(explorer.conjecture_search(d, 40, seed=11, tol=tol))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_delta_is_solved_for_few_trials(self, monkeypatch):
+        # the lower bound rules out most trials at d = 3; a bound that read 0
+        # would still give the same run, but solve delta for every trial
+        trials = explorer._TRIAL_BLOCK
+        reference = per_trial_conjecture(3, trials, 3, explorer.ASSERTION_TOL)
+        solved = []
+        overall_error = metrics.overall_error
+
+        def spy(a, ap, b):
+            solved.append(len(ap.vectors))
+            return overall_error(a, ap, b)
+
+        monkeypatch.setattr(metrics, "overall_error", spy)
+        assert explorer.conjecture_search(3, trials, seed=3) == reference
+        assert len(solved) <= 2 and sum(solved) <= trials // 10, solved
 
     def test_bad_dim_rejected(self):
         with pytest.raises(ValidationError):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtradeoff import bloch, linalg, metrics, oracle, structures
+from qtradeoff import bloch, explorer, linalg, metrics, oracle, structures
 from qtradeoff.errors import UnsupportedSizeError, ValidationError
 from qtradeoff.measurement import OrthonormalBasis, computational_basis, haar_random_basis
 from qtradeoff.tolerances import TIE_TOL
 
-from conftest import random_triple
+from conftest import random_hermitian, random_triple
 
 
 def rotated_qubit_basis(phi):
@@ -357,6 +357,17 @@ class TestInvariance:
                          metrics.conjecture_floor(a, b)])
 
     @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_conjugating_all_three_bases_changes_nothing(self, d, seed):
+        # every matrix becomes its entrywise conjugate, which has the same spectrum
+        triple = random_triple(d, seed)
+        conjugated = [OrthonormalBasis(vectors=x.vectors.conj()) for x in triple]
+        before, after = (np.append(self.labelled_quantities(*t),
+                                   metrics.relaxed_error(t[0], t[2]).value)
+                         for t in (triple, conjugated))
+        assert np.max(np.abs(after - before)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
     @given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
            order=st.permutations(range(5)), b_alone=st.booleans())
     def test_relabelling_changes_nothing(self, d, seed, order, b_alone):
@@ -393,6 +404,47 @@ class TestOverallError:
             delta = metrics.overall_error(a, ap, b).value
             total = metrics.error(a, ap).value + metrics.disturbance(ap, b).value
             assert delta <= total + 1e-9
+
+
+def haar_triples(d, n, seed):
+    """n <= 256 (A, A', B) triples as three batch bases, drawn as conjecture_search does."""
+    [(_, triple)] = explorer._haar_blocks(d, seed, range(n), (0,), (1,), (2,))
+    return triple
+
+
+class TestOverallErrorLowerBound:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_below_delta_on_haar_triples(self, d):
+        a, ap, b = haar_triples(d, 200, 40 + d)
+        low = metrics.overall_error_lower_bound(a, ap, b)
+        delta = metrics.overall_error(a, ap, b).value
+        assert low.shape == (200,)
+        assert np.all(low <= delta + 1e-13)
+        # close enough to delta to rule trials out (measured mean 0.88-0.93)
+        assert np.mean(low / delta) > 0.8
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_below_delta_at_the_endpoints_and_on_mub_pairs(self, d):
+        a, _, b = random_triple(d, 50 + d)
+        b_tilde = OrthonormalBasis(vectors=b.vectors[list(metrics.relaxed_error(a, b).permutation)])
+        w, u = np.linalg.eigh(random_hermitian(d, 60 + d))
+        near_a = OrthonormalBasis(vectors=((u * np.exp(1e-8j * w)) @ u.conj().T @ a.vectors.T).T)
+        comp, fourier = computational_basis(d), structures.fourier_basis(d)
+        triples = [(a, a, b), (a, b_tilde, b), (a, near_a, b), (comp, comp, fourier),
+                   (comp, fourier, fourier), (comp, a, fourier), (comp, fourier, comp)]
+        for triple in triples:
+            low = metrics.overall_error_lower_bound(*triple)
+            assert isinstance(low, float)
+            assert low <= metrics.overall_error(*triple).value + 1e-13
+
+    def test_overall_error_rows_do_not_depend_on_the_batch(self):
+        # conjecture_search solves delta on row subsets of a block
+        a, ap, b = haar_triples(4, 50, 7)
+        full = metrics.overall_error(a, ap, b).value
+        for rows in ([3], [0, 17, 49], np.arange(50) % 3 == 1, 21):
+            part = metrics.overall_error(*(OrthonormalBasis(vectors=x.vectors[rows])
+                                           for x in (a, ap, b))).value
+            assert np.array_equal(part, full[rows])
 
 
 class TestCalibration:
