@@ -5,12 +5,12 @@ largest term, a signed Born-rule combination such as
 ``|<a_i|psi>|^2 - |<a'_i|psi>|^2``.  Every entry point maximises one
 objective over a sample set of unit vectors that the caller passes in, so
 calls that should see the same samples (as ``oracle-check``'s three calls
-per trial do) are given the same array; ``haar_states`` draws one.  The
-samples are scored in the Born form; the ascent and the final values use the
-Hermitian matrix of the same quadratic form.  One term per family makes a
-piece.  Every piece climbs from its own best sample, by the power method on
-its shifted matrix, squared at every step, taken for all pieces at once, so
-none can stall in another piece's basin.
+per trial do) are given the same array; ``haar_states`` draws one.  One
+term per family makes a piece.  The samples, scored in the Born form, only
+pick each piece's start; the refine gives the accuracy.  Every piece climbs
+from its own best sample by the power method on its shift S = M/(2|M|_inf) + I,
+squared at every step, and stops once a step moves it by less than 1e-10;
+the values are <psi|M|psi> on the Hermitian matrix M of the same form.
 Every family is a signed pair [M; -M], held and scored as its + half M only:
 negation is exact in floating point, so the - half's values are the
 negations of the + half's.
@@ -30,7 +30,7 @@ from .errors import ValidationError, check_count
 from .linalg import check_dim, check_hermitian, check_states, expectations, rng_from
 from .measurement import OrthonormalBasis, require_same_dim
 
-_RESIDUAL_FLOOR = 1e-10
+_STEP_FLOOR = 1e-10
 _BLOCK = 256
 # Scores per pass over the samples: a pass scores every piece on a chunk of
 # max(_BLOCK, _CHUNK_SCORES // pieces) samples, so few pieces take few
@@ -44,10 +44,10 @@ _CHUNK_SCORES = 2**12
 class OracleResult:
     """Best value found and the unit vector attaining it.
 
-    ``refinement_steps`` counts iterations of the batched refine loop, until
-    the last piece stopped or the cap; one iteration squares the shifted
-    matrix of every piece still refining.  ``samples_used`` counts the rows
-    of the sample set, all of which are scored.
+    ``refinement_steps`` counts steps of the batched refine loop, until the
+    last piece stopped or the cap; a step moves every live piece by its shift
+    S, and the step a piece stops on counts.  ``samples_used`` counts the
+    rows of the sample set, all of which are scored.
     """
     value: float
     maximizer: np.ndarray
@@ -102,13 +102,13 @@ def _maximize(families, states, refine_iters: int) -> OracleResult:
     max(_BLOCK, _CHUNK_SCORES // pieces) samples, and its - half scores the
     negated values.  Every piece (one term from each family) starts from its
     best sample, and all pieces climb together by the power method with
-    repeated squaring.  A piece M starts with S = M/|M|_F + I (S = I for
-    M = 0), which is positive semidefinite because |M|_F >= |lambda_min|;
-    each step sets psi <- S psi/|S psi| and S <- S^2/|S^2|_F, so after k
-    steps psi is S^(2^k - 1) psi_0 normalised.  Since S >= 0 shares M's
-    eigenvectors, the Rayleigh quotient of S^p psi_0 never falls as p grows.
-    A piece stops once its residual r = M psi - <psi|M|psi> psi has
-    |r| < 1e-10.
+    repeated squaring.  A piece M carries only its shift S = M/(2|M|_inf) + I
+    (S = I for M = 0); |M|_inf, the largest absolute row sum, bounds |lambda|
+    and squares no entry, so S >= I/2 and S psi is never 0.  Each step sets
+    psi' = S psi/|S psi|; the piece leaves once |psi' - psi| < 1e-10, a test
+    on unit vectors that does not depend on M's scale, and else S <- S^2/|S^2|_F.
+    So after k steps psi is S^(2^k - 1) psi_0 normalised, and since S > 0
+    shares M's eigenvectors, the Rayleigh quotient never falls as k grows.
     """
     dim = families[0][0].shape[-1]
     states = check_states(states, dim)
@@ -129,27 +129,20 @@ def _maximize(families, states, refine_iters: int) -> OracleResult:
         better = top > value
         psi[better] = draw[best[better]]
         value[better] = top[better]
-    # The live pieces are held compacted; a piece leaves once |r| < the floor.
-    norm = np.linalg.norm(pieces, axis=(1, 2))
-    shift = pieces / np.where(norm > 0, norm, 1.0)[:, None, None] + np.eye(dim)
-    live, mats, at = every, pieces, psi
-    steps = 0
-    while steps < refine_iters:
-        g = (mats @ at[:, :, None])[:, :, 0]
-        q = (at.conj() * g).real.sum(axis=1)
-        r = g - q[:, None] * at
-        keep = np.linalg.norm(r, axis=1) >= _RESIDUAL_FLOOR
+    scale = 2.0 * np.abs(pieces).sum(axis=2).max(axis=1)
+    shift = pieces / np.where(scale > 0, scale, 1.0)[:, None, None] + np.eye(dim)
+    live, at = every, psi
+    for steps in range(1, refine_iters + 1):
+        step = (shift @ at[:, :, None])[:, :, 0]
+        step /= np.linalg.norm(step, axis=1, keepdims=True)
+        keep = np.linalg.norm(step - at, axis=1) >= _STEP_FLOOR
+        psi[live] = at = step
         if not keep.all():
-            psi[live] = at
-            live, mats, shift, at = live[keep], mats[keep], shift[keep], at[keep]
+            live, shift, at = live[keep], shift[keep], at[keep]
             if not live.size:
                 break
-        at = (shift @ at[:, :, None])[:, :, 0]
-        at /= np.linalg.norm(at, axis=1, keepdims=True)
         shift = shift @ shift
         shift /= np.linalg.norm(shift, axis=(1, 2))[:, None, None]
-        steps += 1
-    psi[live] = at
     total = sum(np.max(np.abs(expectations(m, psi)), axis=0) for m, _, _ in families)
     k = int(np.argmax(total))
     return OracleResult(value=float(total[k]), maximizer=psi[k],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,20 @@ class TestExpectations:
         # one candidate stack per matrix: (P, m, d) against (P, d, d) gives (P, m)
         per_term = linalg.expectations(terms, np.broadcast_to(states, (4, 5, 3)))
         assert np.allclose(per_term, out, atol=1e-14, rtol=0)
+
+
+class TestCheckStates:
+    def test_checking_a_large_set_allocates_no_copy_of_it(self):
+        # A (100000, 16) complex set is 25.6 MB; np.linalg.norm over it
+        # allocated another such array.
+        states = oracle.haar_states(16, 100000, 0)
+        tracemalloc.start()
+        try:
+            assert linalg.check_states(states, 16) is states
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestSpectralRadius:

@@ -637,3 +637,31 @@ class TestDeltaFloorNearTheTarget:
         assert closed < floor - 1e-6
         assert abs(delta - closed) <= 1e-12
         assert metrics.error(a, ap).value + metrics.disturbance(ap, b).value >= floor
+
+
+class TestFirstOrderNearTheTarget:
+    # A computational, A' = e^{itX}A and B = e^{itY}A with X, Y Hermitian and
+    # zero on the diagonal.  To first order in t, eps = t|X|_c,
+    # eta(A', B) = t|X - Y|_c and relaxed eps(A, B) = eta(A, B) = t|Y|_c, where
+    # |X|_c is the largest norm of a column of X: the conjecture reads as the
+    # triangle inequality for |.|_c.
+    @staticmethod
+    def rotation(h, t):
+        w, v = np.linalg.eigh(h)
+        return OrthonormalBasis(vectors=((v * np.exp(1j * t * w)) @ v.conj().T).T)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_each_quantity_over_t_reaches_its_column_norm(self, d):
+        t = 1e-5
+        a = computational_basis(d)
+        for seed in range(5):
+            x, y = (random_hermitian(d, 470 + 10 * d + 2 * seed + k) for k in range(2))
+            np.fill_diagonal(x, 0.0)
+            np.fill_diagonal(y, 0.0)
+            ap, b = self.rotation(x, t), self.rotation(y, t)
+            for value, h in ((metrics.error(a, ap).value, x),
+                             (metrics.disturbance(ap, b).value, x - y),
+                             (metrics.relaxed_error(a, b).value, y),
+                             (metrics.disturbance(a, b).value, y)):
+                limit = np.max(np.linalg.norm(h, axis=0))
+                assert abs(value / t - limit) <= 1e-3 * limit

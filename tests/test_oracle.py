@@ -55,14 +55,34 @@ class TestMaxExpectation:
         assert not np.allclose(r1.maximizer, r2.maximizer)
 
     def test_huge_entries_still_reach_the_top_eigenvalue(self):
-        # Entries near 1e300 overflow a Frobenius norm (the refine loop's
-        # own norm overflows too, so it cannot climb); the sample scores must
-        # stay finite so the best sample is still found.
+        # Entries near 1e300 overflow a Frobenius norm; the sample scores and
+        # the shift S = M/(2|M|_inf) + I square no entry, so both stay finite.
         m = random_hermitian(3, 11)
         target = 1e300 * float(np.max(np.abs(oracle.eig3_closed(m))))
-        with np.errstate(over="ignore"):
-            out = oracle.max_expectation(1e300 * m, oracle.haar_states(3, 2000, 2), 50)
-        assert 0.9 * target <= out.value <= target * (1 + 1e-9)
+        out = oracle.max_expectation(1e300 * m, oracle.haar_states(3, 2000, 2), 50)
+        assert abs(out.value - target) <= 1e-14 * target
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_the_refine_does_not_depend_on_scale(self, d):
+        # The shift is scale-free and the stop rule compares unit vectors, so
+        # s * m converges to the same relative accuracy in the same steps.
+        m = random_hermitian(d, 460 + d)
+        target = linalg.spectral_radius(m)
+        steps = set()
+        for s in (1e-12, 1e-9, 1.0, 1e100, 1e150, 1e300):
+            with np.errstate(all="raise"):
+                out = oracle.max_expectation(s * m, oracle.haar_states(d, 2000, d), 200)
+            assert abs(out.value - s * target) <= 1e-14 * s * target
+            steps.add(out.refinement_steps)
+        assert len(steps) == 1
+
+    def test_a_start_that_m_plus_its_norm_annihilates(self):
+        # M = -E11 has (M + |M|_inf I) e1 = 0; with S = M/(2|M|_inf) + I >= I/2,
+        # S e1 = e1/2 is never 0, so the step from e1 divides by no zero.
+        h = -np.diag([1.0, 0.0, 0.0])
+        with np.errstate(all="raise"):
+            out = oracle.max_expectation(h, np.eye(3, dtype=complex)[:1], 200)
+        assert out.value == 1.0
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
@@ -158,7 +178,7 @@ class TestMaximizers:
 class TestRefineLoop:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 12, 16])
     def test_squaring_converges_in_a_few_steps(self, d):
-        # Squaring S = M/|M|_F + I converges doubly exponentially, so a
+        # Squaring S = M/(2|M|_inf) + I converges doubly exponentially, so a
         # handful of steps suffices whatever the gaps in the pieces' spectra.
         for seed in range(3):
             a, ap, b = random_triple(d, 360 + 10 * d + seed)
@@ -207,7 +227,7 @@ class TestRefineLoop:
         assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
 
     def test_a_shift_keeps_the_step_on_the_sphere(self):
-        # A shift m -> m + cI changes S = M/|M|_F + I; any drift of psi off
+        # A shift m -> m + cI changes S = M/(2|M|_inf) + I; any drift of psi off
         # the unit sphere would show here as a value above the spectral
         # radius.
         for d in range(4, 9):
